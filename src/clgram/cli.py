@@ -4,7 +4,8 @@ Subcommands:
   parse SENTENCE     judge one sentence, print derivations and readings
   corpus             run a judgment corpus, PASS/FAIL per line
   trace              print suspend/resume/bind/call events for a
-                     sentence or a raw --goal query
+                     sentence or a raw --goal query (--format json: one
+                     JSON object per line)
 
 Options can also come from environment variables named like the flag,
 uppercased (GRAMMAR, LEXICON, CORPUS, FORMAT, TRACE, ENABLE_SLASH,
@@ -27,8 +28,8 @@ from .errors import ClgramError
 from .parser import Parser
 from .reader import parse_goals
 from .render import canonical, canonical_text, render
-from .solver import Engine, Solution, Truncated
-from .terms import Atom, Var, resolve
+from .solver import Engine, Truncated
+from .terms import resolve
 
 _TRUE_STRINGS = ("1", "true", "yes", "on")
 
@@ -58,7 +59,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="step budget per enumeration")
     p.add_argument("--max-sc-length", type=int,
                    default=int(_env("MAX_SC_LENGTH", "10")),
-                   help="largest subcat list tried")
+                   help="longest subcat list accepted; longer sentences "
+                        "are ungrammatical")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -106,21 +108,38 @@ def _brief(term, store, limit: int = 160) -> str:
     return text
 
 
-def _trace_printer(out):
+def _var_name(var) -> str:
+    return var.name or f"_G{var.id}"
+
+
+def _json_line(obj, out=None) -> None:
+    print(json.dumps(obj, ensure_ascii=False), file=out)
+
+
+def _trace_printer(out, fmt: str):
+    """The engine's trace= hook: one line per call/suspend/resume/bind
+    event, as text or as a JSON object."""
     def emit(event, store):
         tag = event[0]
-        if tag == "call":
-            out.write(f"call    {_brief(event[1], store)}\n")
-        elif tag == "suspend":
-            names = ", ".join(v.name or f"_G{v.id}" for v in event[2])
-            out.write(f"suspend {_brief(event[1], store)}  on {names}\n")
-        elif tag == "resume":
-            out.write(f"resume  {_brief(event[1], store)}\n")
+        if tag == "bind":
+            fields = {"var": _var_name(event[1]), "value": _brief(event[2], store)}
+        else:
+            fields = {"goal": _brief(event[1], store)}
+            if tag == "suspend":
+                fields["on"] = [_var_name(v) for v in event[2]]
+        if fmt == "json":
+            _json_line({"event": tag, **fields}, out)
         elif tag == "bind":
-            var = event[1]
-            name = var.name or f"_G{var.id}"
-            out.write(f"bind    {name} = {_brief(event[2], store)}\n")
+            out.write(f"bind    {fields['var']} = {fields['value']}\n")
+        elif tag == "suspend":
+            out.write(f"suspend {fields['goal']}  on {', '.join(fields['on'])}\n")
+        else:
+            out.write(f"{tag:<8}{fields['goal']}\n")
     return emit
+
+
+def _term_json(t):
+    return json.loads(render(t, "json"))
 
 
 def _reading_payload(result):
@@ -131,12 +150,12 @@ def _reading_payload(result):
         if d.reading not in seen:
             seen.add(d.reading)
             picked.append(d.sign.feats["sem"])
-    return [json.loads(render(sem, "json")) for sem in picked]
+    return [_term_json(sem) for sem in picked]
 
 
 def cmd_parse(args) -> int:
     program, lexicon = _build(args)
-    trace = _trace_printer(sys.stderr) if args.trace else None
+    trace = _trace_printer(sys.stderr, args.format) if args.trace else None
     parser = Parser(program, lexicon, max_depth=args.max_depth,
                     max_sc_length=args.max_sc_length, trace=trace)
     result = parser.parse(args.sentence)
@@ -211,22 +230,34 @@ def cmd_corpus(args) -> int:
 
 def cmd_trace(args) -> int:
     program, lexicon = _build(args)
-    emit = _trace_printer(sys.stdout)
+    as_json = args.format == "json"
+    emit = _trace_printer(sys.stdout, args.format)
     if args.goal:
         goals, named = parse_goals(args.goal, program.sorts)
         engine = Engine(program, max_depth=args.max_depth, trace=emit)
         n = 0
         for item in engine.solve(goals, var_names=named):
             if isinstance(item, Truncated):
-                print(f"truncated after {item.steps} steps")
+                if as_json:
+                    _json_line({"event": "truncated", "steps": item.steps})
+                else:
+                    print(f"truncated after {item.steps} steps")
                 break
             n += 1
+            if as_json:
+                _json_line({"event": "solution", "index": n,
+                            "bindings": {name: _term_json(v)
+                                         for name, v in sorted(item.bindings.items())},
+                            "residue": [_term_json(g) for g in item.residue]})
+                continue
             print(f"solution {n}:")
             for name in sorted(item.bindings):
                 print(f"  {name} = {render(item.bindings[name], 'avm')}")
             for g in item.residue:
                 print(f"  residue: {render(g, 'avm')}")
-        if n == 0:
+        if as_json:
+            _json_line({"event": "done", "solutions": n})
+        elif n == 0:
             print("no solutions")
         return 0
     if not args.sentence:
@@ -235,9 +266,14 @@ def cmd_trace(args) -> int:
     parser = Parser(program, lexicon, max_depth=args.max_depth,
                     max_sc_length=args.max_sc_length, trace=emit)
     result = parser.parse(args.sentence)
-    print(f"grammatical: {'yes' if result.grammatical else 'no'} "
-          f"({len(result.derivations)} derivations, "
-          f"{len(result.readings)} readings)")
+    if as_json:
+        _json_line({"event": "verdict", "grammatical": result.grammatical,
+                    "derivations": len(result.derivations),
+                    "readings": len(result.readings)})
+    else:
+        print(f"grammatical: {'yes' if result.grammatical else 'no'} "
+              f"({len(result.derivations)} derivations, "
+              f"{len(result.readings)} readings)")
     return 0
 
 

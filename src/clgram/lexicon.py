@@ -116,18 +116,15 @@ class Lexicon:
             else:
                 raise LexiconError(f"line {lineno}: unknown class {cls!r}")
 
-    def _take(self, params: dict, key: str, lineno: int, default=None):
-        return params.pop(key, default)
-
     def _add_verb(self, word: str, params: dict, lineno: int) -> None:
-        frame = self._take(params, "frame", lineno)
+        frame = params.pop("frame", None)
         if frame not in ("iv", "tv", "dtv", "aux", "aci"):
             raise LexiconError(f"line {lineno}: bad or missing frame for {word!r}")
-        soa = self._take(params, "soa", lineno)
+        soa = params.pop("soa", None)
         if not soa:
             raise LexiconError(f"line {lineno}: verb {word!r} needs soa=")
         _check_atom(soa, "soa sort", lineno)
-        roles_raw = self._take(params, "roles", lineno)
+        roles_raw = params.pop("roles", None)
         if frame in _FRAME_ROLE_COUNT:
             if not roles_raw:
                 raise LexiconError(f"line {lineno}: frame {frame} needs roles=")
@@ -142,11 +139,11 @@ class Lexicon:
             if roles_raw:
                 raise LexiconError(f"line {lineno}: frame {frame} takes no roles=")
             roles = ()
-        phon = self._take(params, "phon", lineno, word)
+        phon = params.pop("phon", word)
         _check_atom(phon, "phon", lineno)
-        fin = self._take(params, "fin", lineno, phon + "t")
+        fin = params.pop("fin", phon + "t")
         finite = None if fin == "-" else _check_atom(fin, "finite form", lineno)
-        nonfin = self._take(params, "nonfin", lineno, "+")
+        nonfin = params.pop("nonfin", "+")
         if nonfin not in ("+", "-"):
             raise LexiconError(f"line {lineno}: nonfin must be + or -")
         if params:
@@ -154,7 +151,7 @@ class Lexicon:
         self.verbs[word] = VerbEntry(word, frame, soa, roles, phon, finite, nonfin == "+")
 
     def _add_noun(self, word: str, params: dict, lineno: int) -> None:
-        index = self._take(params, "index", lineno, word)
+        index = params.pop("index", word)
         _check_atom(index, "index", lineno)
         if params:
             raise LexiconError(f"line {lineno}: unknown parameters {sorted(params)}")
@@ -162,11 +159,11 @@ class Lexicon:
 
     def _add_adv(self, word: str, kind: str, params: dict, lineno: int) -> None:
         if kind == "restr":
-            rel = self._take(params, "rel", lineno, word + "_rel")
+            rel = params.pop("rel", word + "_rel")
             _check_atom(rel, "rel", lineno)
             soa = None
         else:
-            soa = self._take(params, "soa", lineno, word + "_soa")
+            soa = params.pop("soa", word + "_soa")
             _check_atom(soa, "operator soa", lineno)
             rel = None
         if params:

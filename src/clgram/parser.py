@@ -1,16 +1,18 @@
 """Head-driven parsing over delayed lexical entries.
 
 The parser never builds a phrase-structure tree.  It picks a finite
-verb, guesses a length k for that verb's subcat list, and asks the
-grammar for a finite entry whose list is a skeleton of k fresh
-variables.  Solving that goal runs the stem and the recursive rules as
-far as the skeleton allows; the rules wake each other up as list
-structure appears, bottom-to-top.  A second goal then matches skeleton
-members against the remaining tokens: members left of the head in
-reverse list order, cluster verbs right of the head in list order, one
-token per member.  Matching a cluster verb applies that verb's own
-lexical entry to the member in place, which binds the next lower
-subcat list and wakes the next round of delayed rules.
+verb and asks the grammar for a finite entry whose subcat list is a
+skeleton of fresh variables, one per other token of the sentence:
+adjuncts sit on the list like complements and every member is matched
+to exactly one token, so the length is derived, not guessed.  Solving
+that goal runs the stem and the recursive rules as far as the skeleton
+allows; the rules wake each other up as list structure appears,
+bottom-to-top.  A second goal then matches skeleton members against the
+remaining tokens: members left of the head in reverse list order,
+cluster verbs right of the head in list order, one token per member.
+Matching a cluster verb applies that verb's own lexical entry to the
+member in place, which binds the next lower subcat list and wakes the
+next round of delayed rules.
 
 An answer counts as a derivation only if nothing is left suspended:
 a parse conditional on an unapplied lexical rule is no parse.
@@ -18,7 +20,6 @@ a parse conditional on an unapplied lexical rule is no parse.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import LimitExceededError, NoFiniteVerbError, UnknownTokensError
@@ -105,20 +106,21 @@ class Parser:
         if not heads:
             raise NoFiniteVerbError(f"no finite verb in {sentence!r}")
         result = ParseResult(sentence, tokens, had_dat)
+        if len(tokens) - 1 > self.max_sc_length:   # every other token is a member
+            return result
         for h in heads:
-            for k in range(0, min(len(tokens) - 1, self.max_sc_length) + 1):
-                result.derivations.extend(self._attempt(tokens, h, k))
+            result.derivations.extend(self._attempt(tokens, h))
         return result
 
-    # one (head, subcat-length) hypothesis
-    def _attempt(self, tokens: list[str], h: int, k: int) -> list[Derivation]:
+    # one finite-head hypothesis
+    def _attempt(self, tokens: list[str], h: int) -> list[Derivation]:
         word = self.lexicon.finite_map[tokens[h]]
         left = tokens[:h]
         right = tokens[h + 1:]
         store = Store(self.program.sorts)
         engine = Engine(self.program, store=store,
                         max_depth=self.max_depth, trace=self.trace)
-        skeleton = [store.new_var(f"M{i + 1}") for i in range(k)]
+        skeleton = [store.new_var(f"M{i + 1}") for i in range(len(tokens) - 1)]
         sign = Avm(self.program.sorts.get("sign"),
                    {"sc": make_list(skeleton), "slash": NIL})
         entry_goal = Struct("lexical_entry",
@@ -145,7 +147,7 @@ class Parser:
         if engine.truncated:
             raise LimitExceededError(
                 f"step limit {self.max_depth} hit while parsing "
-                f"(head {tokens[h]!r}, k={k})")
+                f"(head {tokens[h]!r})")
         return out
 
     def _extract(self, sign, tokens: list[str], h: int,

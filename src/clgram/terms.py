@@ -375,54 +375,26 @@ def _bind_var(store: Store, v: Var, t) -> bool:
     return True
 
 
-def _occurs(store: Store, v: Var, t, seen: set | None = None) -> bool:
+def _occurs(store: Store, target, t, seen: set | None = None) -> bool:
+    """Does `target` (an unbound variable or a record) occur in `t`?
+    Guards binding and merging against building a term that contains
+    itself.  Records walked are kept in `seen`, so a cycle through
+    records ends the walk."""
     t = store.deref(t)
-    if isinstance(t, Var):
-        return t.id == v.id
+    if t is target:
+        return True
     if isinstance(t, ListCons):
-        return _occurs(store, v, t.head, seen) or _occurs(store, v, t.tail, seen)
+        return (_occurs(store, target, t.head, seen)
+                or _occurs(store, target, t.tail, seen))
     if isinstance(t, Struct):
-        return any(_occurs(store, v, a, seen) for a in t.args)
+        return any(_occurs(store, target, a, seen) for a in t.args)
     if isinstance(t, Avm):
         if seen is None:
             seen = set()
         if id(t) in seen:
             return False
         seen.add(id(t))
-        return any(_occurs(store, v, x, seen) for x in t.feats.values())
-    return False
-
-
-def _avm_contains(store: Store, root: Avm, target: Avm, seen: set | None = None) -> bool:
-    """Does `target` occur strictly below `root`?  Guards against building
-    a record that contains itself through the merge."""
-    if seen is None:
-        seen = set()
-    if id(root) in seen:
-        return False
-    seen.add(id(root))
-    for v in root.feats.values():
-        v = store.deref(v)
-        if v is target:
-            return True
-        if isinstance(v, Avm) and _avm_contains(store, v, target, seen):
-            return True
-        if isinstance(v, (ListCons, Struct)) and _term_contains(store, v, target, seen):
-            return True
-    return False
-
-
-def _term_contains(store: Store, t, target: Avm, seen: set) -> bool:
-    t = store.deref(t)
-    if t is target:
-        return True
-    if isinstance(t, ListCons):
-        return (_term_contains(store, t.head, target, seen)
-                or _term_contains(store, t.tail, target, seen))
-    if isinstance(t, Struct):
-        return any(_term_contains(store, a, target, seen) for a in t.args)
-    if isinstance(t, Avm):
-        return _avm_contains(store, t, target, seen)
+        return any(_occurs(store, target, x, seen) for x in t.feats.values())
     return False
 
 
@@ -430,7 +402,7 @@ def _merge_avms(store: Store, a: Avm, b: Avm) -> bool:
     meet = store.sorts.meet(a.sort, b.sort)
     if meet is None:
         return False
-    if store.occurs_check and (_avm_contains(store, a, b) or _avm_contains(store, b, a)):
+    if store.occurs_check and (_occurs(store, b, a) or _occurs(store, a, b)):
         return False
     store._set_forward(b, a)
     if a.sort is not meet:
@@ -449,44 +421,39 @@ def _merge_avms(store: Store, a: Avm, b: Avm) -> bool:
 # ---------------------------------------------------------------------------
 # copying and snapshots
 
-def copy_term(store: Store, t, memo: dict | None = None):
+def copy_term(store: Store, t, memo: dict | None = None, counter=None):
     """Fresh copy with new variables and fresh Avm nodes; sharing inside
-    the copied term is preserved via the memo (keyed by node identity)."""
+    the copied term is preserved via the memo (keyed by node identity).
+    With a counter, the new variables are numbered from it in traversal
+    order."""
     if memo is None:
         memo = {}
     t = store.deref(t)
     if isinstance(t, Var):
         key = ("v", t.id)
         if key not in memo:
-            memo[key] = Var(t.name)
+            v = memo[key] = Var(t.name)
+            if counter is not None:
+                v.id = next(counter)
         return memo[key]
     if isinstance(t, (Atom, _Nil)):
         return t
+    key = id(t)
+    if key in memo:
+        return memo[key]
     if isinstance(t, ListCons):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        node = ListCons(None, None)
-        memo[key] = node
-        node.head = copy_term(store, t.head, memo)
-        node.tail = copy_term(store, t.tail, memo)
+        node = memo[key] = ListCons(None, None)
+        node.head = copy_term(store, t.head, memo, counter)
+        node.tail = copy_term(store, t.tail, memo, counter)
         return node
     if isinstance(t, Struct):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        node = Struct(t.name, ())
-        memo[key] = node
-        node.args = tuple(copy_term(store, a, memo) for a in t.args)
+        node = memo[key] = Struct(t.name, ())
+        node.args = tuple(copy_term(store, a, memo, counter) for a in t.args)
         return node
     if isinstance(t, Avm):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        node = Avm(t.sort)
-        memo[key] = node
+        node = memo[key] = Avm(t.sort)
         for f, v in t.feats.items():
-            node.feats[f] = copy_term(store, v, memo)
+            node.feats[f] = copy_term(store, v, memo, counter)
         return node
     return t
 
@@ -494,49 +461,7 @@ def copy_term(store: Store, t, memo: dict | None = None):
 def resolve(store: Store, t, memo: dict | None = None, counter=None):
     """Detached snapshot of a term: bindings and forwards followed, fresh
     nodes built, unbound variables renumbered in traversal order.  Use one
-    memo across several calls to keep cross-term sharing observable."""
-    if memo is None:
-        memo = {}
-    if counter is None:
-        counter = itertools.count(1)
-    return _resolve(store, t, memo, counter)
-
-
-def _resolve(store: Store, t, memo: dict, counter):
-    t = store.deref(t)
-    if isinstance(t, Var):
-        key = ("v", t.id)
-        if key not in memo:
-            v = Var(t.name)
-            v.id = next(counter)
-            memo[key] = v
-        return memo[key]
-    if isinstance(t, (Atom, _Nil)):
-        return t
-    if isinstance(t, ListCons):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        node = ListCons(None, None)
-        memo[key] = node
-        node.head = _resolve(store, t.head, memo, counter)
-        node.tail = _resolve(store, t.tail, memo, counter)
-        return node
-    if isinstance(t, Struct):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        node = Struct(t.name, ())
-        memo[key] = node
-        node.args = tuple(_resolve(store, a, memo, counter) for a in t.args)
-        return node
-    if isinstance(t, Avm):
-        key = id(t)
-        if key in memo:
-            return memo[key]
-        node = Avm(t.sort)
-        memo[key] = node
-        for f, v in t.feats.items():
-            node.feats[f] = _resolve(store, v, memo, counter)
-        return node
-    return t
+    memo (and counter) across several calls to keep cross-term sharing
+    observable."""
+    return copy_term(store, t, memo,
+                     itertools.count(1) if counter is None else counter)

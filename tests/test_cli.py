@@ -151,6 +151,27 @@ class TestTraceCommand:
         text = out + err
         assert "call" in text and "lexical_entry" in text
 
+    def test_json_events_one_object_per_line(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--goal",
+                               "concat(A, [b], C), eq(A, [a]).",
+                               "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        events = [r["event"] for r in records]
+        assert {"call", "suspend", "resume", "bind"} <= set(events)
+        assert events.index("suspend") < events.index("resume")
+        assert records[-2]["event"] == "solution"
+        assert records[-2]["bindings"]["C"] == [{"atom": "a"}, {"atom": "b"}]
+        assert records[-1] == {"event": "done", "solutions": 1}
+
+    def test_json_sentence_verdict(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "dat arie bob kust",
+                               "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[-1] == {"event": "verdict", "grammatical": True,
+                               "derivations": 1, "readings": 1}
+
     def test_requires_sentence_or_goal(self, capsys):
         assert run_cli(capsys, "trace")[0] == 2
 

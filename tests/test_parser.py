@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
+import clgram.parser
 from clgram import (ListCons, LimitExceededError, NoFiniteVerbError, Parser,
                     UnknownTokensError, cluster_expand, corpus_source,
                     load_corpus)
@@ -211,12 +212,38 @@ class TestInputHandling:
             [d.reading_text for d in b.derivations]
 
 
+@pytest.fixture
+def engines(monkeypatch):
+    """Records every Engine the parser builds (one per parse attempt)."""
+    made = []
+    real = clgram.parser.Engine
+
+    def counting(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(clgram.parser, "Engine", counting)
+    return made
+
+
+class TestAttempts:
+    # the subcat list holds every token but the head, so its length is
+    # fixed by the sentence and each finite head is tried once
+    @pytest.mark.parametrize("sentence", [
+        "dat arie bob kust",
+        "dat arie bob vandaag toevallig wil kussen",
+    ])
+    def test_one_engine_per_finite_head(self, parser, engines, sentence):
+        assert parser.parse(sentence).grammatical
+        assert len(engines) == 1
+
+
 class TestResourceBounds:
-    def test_subcat_length_cap(self, program, lexicon):
+    def test_subcat_length_cap(self, program, lexicon, engines):
         capped = Parser(program, lexicon, max_sc_length=3)
         assert capped.parse("dat arie wil slapen").grammatical
         long = "dat arie bob zou moeten kunnen willen kussen"
         assert not capped.parse(long).grammatical
+        assert len(engines) == 1     # the over-long sentence is never tried
 
     def test_step_budget_exhaustion_is_an_error(self, program, lexicon):
         tiny = Parser(program, lexicon, max_depth=3)

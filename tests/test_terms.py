@@ -139,6 +139,17 @@ class TestOccursCheck:
         outer = Avm(sorts.get("sign"), {"f": inner})
         assert not unify(store, inner, outer)
 
+    @pytest.mark.parametrize("path", ["list", "bound_var"])
+    def test_avm_containment_indirect(self, store, sorts, path):
+        inner = Avm(sorts.get("sign"), {})
+        if path == "list":
+            value = make_list([Atom("a"), inner])
+        else:
+            value = store.new_var()
+            assert unify(store, value, inner)
+        outer = Avm(sorts.get("sign"), {"f": value})
+        assert not unify(store, inner, outer)
+
     def test_disabled_allows_rational_binding(self, sorts):
         st = Store(sorts, occurs_check=False)
         x = st.new_var()
