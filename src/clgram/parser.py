@@ -26,7 +26,7 @@ from .errors import LimitExceededError, NoFiniteVerbError, UnknownTokensError
 from .lexicon import Lexicon
 from .render import canonical, canonical_text
 from .solver import Engine, Program
-from .terms import NIL, Atom, Avm, ListCons, Store, Struct, make_list, resolve
+from .terms import NIL, Atom, Avm, ListCons, Struct, make_list, resolve
 
 # Surface matching as clauses, so it can drive the same waking machinery
 # as everything else.  The member spine comes in reverse subcat order:
@@ -117,9 +117,8 @@ class Parser:
         word = self.lexicon.finite_map[tokens[h]]
         left = tokens[:h]
         right = tokens[h + 1:]
-        store = Store(self.program.sorts)
-        engine = Engine(self.program, store=store,
-                        max_depth=self.max_depth, trace=self.trace)
+        engine = Engine(self.program, max_depth=self.max_depth, trace=self.trace)
+        store = engine.store
         skeleton = [store.new_var(f"M{i + 1}") for i in range(len(tokens) - 1)]
         sign = Avm(self.program.sorts.get("sign"),
                    {"sc": make_list(skeleton), "slash": NIL})

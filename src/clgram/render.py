@@ -29,20 +29,17 @@ def render(t, fmt: str = "avm") -> str:
 # sharing detection
 
 def _count_nodes(t, counts: dict[int, int]) -> None:
-    if isinstance(t, (Avm, ListCons, Struct)):
+    while isinstance(t, (Avm, ListCons, Struct)):
         k = id(t)
         counts[k] = counts.get(k, 0) + 1
         if counts[k] > 1:
             return
-        if isinstance(t, Avm):
-            for v in t.feats.values():
+        if not isinstance(t, ListCons):
+            for v in t.feats.values() if isinstance(t, Avm) else t.args:
                 _count_nodes(v, counts)
-        elif isinstance(t, ListCons):
-            _count_nodes(t.head, counts)
-            _count_nodes(t.tail, counts)
-        else:
-            for a in t.args:
-                _count_nodes(a, counts)
+            return
+        _count_nodes(t.head, counts)
+        t = t.tail
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +154,33 @@ def canonical(t, _numbering: dict | None = None, _stack: set | None = None) -> t
         return ("var", _numbering[t.id])
     if isinstance(t, _Nil):
         return ("nil",)
-    if isinstance(t, (ListCons, Struct, Avm)):
+    if isinstance(t, ListCons):
+        cells, heads = [], []   # the cells stay open until the tail is done
+        while isinstance(t, ListCons):
+            if id(t) in _stack:
+                raise ValueError("cyclic term has no canonical form")
+            _stack.add(id(t))
+            cells.append(id(t))
+            heads.append(canonical(t.head, _numbering, _stack))
+            t = t.tail
+        out = canonical(t, _numbering, _stack)
+        _stack.difference_update(cells)
+        for h in reversed(heads):
+            out = ("cons", h, out)
+        return out
+    if isinstance(t, (Struct, Avm)):
         if id(t) in _stack:
             raise ValueError("cyclic term has no canonical form")
         _stack.add(id(t))
-        try:
-            if isinstance(t, ListCons):
-                return ("cons", canonical(t.head, _numbering, _stack),
-                        canonical(t.tail, _numbering, _stack))
-            if isinstance(t, Struct):
-                return ("struct", t.name,
-                        tuple(canonical(a, _numbering, _stack) for a in t.args))
-            return ("avm", t.sort.name,
-                    tuple(sorted((f, canonical(v, _numbering, _stack))
-                                 for f, v in t.feats.items())))
-        finally:
-            _stack.discard(id(t))
+        if isinstance(t, Struct):
+            out = ("struct", t.name,
+                   tuple(canonical(a, _numbering, _stack) for a in t.args))
+        else:
+            out = ("avm", t.sort.name,
+                   tuple(sorted((f, canonical(v, _numbering, _stack))
+                                for f, v in t.feats.items())))
+        _stack.discard(id(t))
+        return out
     raise TypeError(f"cannot canonicalize {t!r}")
 
 

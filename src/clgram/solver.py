@@ -13,18 +13,20 @@ Suspensions that never wake are the residue of an answer: the answer is
 conditional on those goals, which is how lexical rules stay applicable
 without being applied.
 
-Control flow is a recursive generator: each solution is a `yield`
-at an empty resolvent, with bindings live in the store until the
-consumer advances.  `solve` wraps this with snapshotting and cleanup.
-Exceeding the step budget ends the enumeration with a `Truncated`
-marker so callers can tell a cut-off search from an exhausted one.
+Control flow is one loop over a WAM-style choicepoint stack: the
+resolvent is a linked chain of `(goal, rest)` pairs, and each call
+pushes (trail mark, goal, rest, clauses left), so a deep search uses no
+interpreter stack.  Each solution is a `yield` at an empty resolvent,
+with bindings live in the store until the consumer advances.  `solve`
+wraps this with snapshotting and cleanup.  Exceeding the step budget
+ends the enumeration with a `Truncated` marker so callers can tell a
+cut-off search from an exhausted one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import sys
 from dataclasses import dataclass
 
 from .errors import UndefinedPredicateError
@@ -149,22 +151,14 @@ class Truncated:
 
 
 class Engine:
-    def __init__(self, program: Program, store: Store | None = None,
-                 occurs_check: bool = True, max_depth: int = 10000,
-                 trace=None):
+    def __init__(self, program: Program, max_depth: int = 10000, trace=None):
         self.program = program
-        self.store = store if store is not None else Store(program.sorts, occurs_check)
-        self.store.occurs_check = occurs_check
+        self.store = Store(program.sorts)
+        self.store.trace = trace
         self.max_depth = max_depth
-        self.trace = trace
-        if trace is not None:
-            self.store.trace = trace
         self._steps = 0
         self._total_steps = 0
         self._truncated = False
-        want = min(1_000_000, 3 * max_depth + 20_000)
-        if sys.getrecursionlimit() < want:
-            sys.setrecursionlimit(want)
 
     # -- blocking
 
@@ -184,28 +178,21 @@ class Engine:
         spec = self.program.block_spec(*key)
         if spec is None:
             return None
-        store = self.store
+        deref = self.store.deref
         watched: list[Var] = []
-        seen: set[int] = set()
-        blocked = False
         for mask in spec.patterns:
             vs = []
-            matches = True
             for is_dash, arg in zip(mask, args):
                 if is_dash:
-                    a = store.deref(arg)
-                    if isinstance(a, Var):
-                        vs.append(a)
-                    else:
-                        matches = False
+                    a = deref(arg)
+                    if not isinstance(a, Var):
                         break
-            if matches:
-                blocked = True
+                    vs.append(a)
+            else:
                 for v in vs:
-                    if v.id not in seen:
-                        seen.add(v.id)
+                    if v not in watched:
                         watched.append(v)
-        return watched if blocked else None
+        return watched or None  # every pattern has a `-`
 
     def is_blocked_goal(self, goal) -> bool:
         """Would this goal suspend if called right now?"""
@@ -226,44 +213,54 @@ class Engine:
 
     def _prove(self, goals: list):
         store = self.store
+        rest = None                     # the resolvent as (goal, rest) pairs
+        for g in reversed(goals):
+            rest = (g, rest)
+        choices = []                    # (trail mark, goal, rest, clauses left)
         while True:
             if store.wake_list:
-                woken = store.drain_wakes()
-                goals = [s.goal for s in woken] + goals
+                for s in reversed(store.drain_wakes()):
+                    rest = (s.goal, rest)
                 continue
-            if not goals:
+            if rest is None:
                 yield None
-                self._steps = 0  # fresh budget per answer
-                return
-            goal = store.deref(goals[0])
-            goals = goals[1:]
-            if isinstance(goal, Var):
-                raise UndefinedPredicateError("unbound variable called as a goal")
-            key = self._goal_key(goal)
-            args = goal.args if isinstance(goal, Struct) else ()
-            watched = self._blocking_vars(key, args)
-            if watched is not None:
-                store.suspend_goal(goal, watched)
-                continue
-            if not self.program.defines(*key):
-                raise UndefinedPredicateError(f"undefined predicate {key[0]}/{key[1]}")
-            self._steps += 1
-            self._total_steps += 1
-            if self._steps > self.max_depth:
-                self._truncated = True
-                return
-            if self.trace:
-                self.trace(("call", goal), store)
-            break
-        for clause in self.program.candidates(key, store, args):
-            m = store.mark()
-            head, body = self._rename(clause)
-            if unify(store, goal, head):
-                yield from self._prove(list(body) + goals)
-                if self._truncated:
-                    store.undo_to(m)
+                if self._truncated:     # a nested enumeration was cut off
                     return
-            store.undo_to(m)
+                self._steps = 0  # fresh budget per answer
+            else:
+                goal, rest = rest
+                goal = store.deref(goal)
+                key = self._goal_key(goal)
+                args = goal.args if isinstance(goal, Struct) else ()
+                watched = self._blocking_vars(key, args)
+                if watched is not None:
+                    store.suspend_goal(goal, watched)
+                    continue
+                if not self.program.defines(*key):
+                    raise UndefinedPredicateError(f"undefined predicate {key[0]}/{key[1]}")
+                self._steps += 1
+                self._total_steps += 1
+                if self._steps > self.max_depth:
+                    self._truncated = True
+                    return
+                if store.trace:
+                    store.trace(("call", goal), store)
+                choices.append((store.mark(), goal, rest,
+                                iter(self.program.candidates(key, store, args))))
+            while choices:              # backtrack into the newest clause left
+                m, goal, rest, clauses = choices[-1]
+                store.undo_to(m)
+                clause = next(clauses, None)
+                if clause is None:
+                    choices.pop()
+                    continue
+                head, body = self._rename(clause)
+                if unify(store, goal, head):
+                    for g in reversed(body):
+                        rest = (g, rest)
+                    break
+            else:
+                return
 
     def solve(self, goals: list, max_solutions: int | None = None,
               var_names: dict[str, Var] | None = None):
@@ -277,7 +274,7 @@ class Engine:
         m0 = store.mark()
         produced = 0
         try:
-            for _ in self._prove(list(goals)):
+            for _ in self._prove(goals):
                 memo: dict = {}
                 counter = itertools.count(1)
                 bindings = {n: resolve(store, v, memo, counter)
@@ -296,13 +293,13 @@ class Engine:
     def prove_live(self, goals: list, reset: bool = True):
         """Low-level enumeration: yields None per answer with bindings
         still live in the store.  Caller inspects/resolves, then advances.
-        Caller must mark/undo around the whole enumeration.  Pass
-        reset=False when nesting inside another live enumeration, so the
-        step budget and the cut-off flag stay shared."""
+        Caller must mark/undo around the whole enumeration, also after a
+        cut-off.  Pass reset=False when nesting inside another live
+        enumeration, so the step budget and the cut-off flag stay shared."""
         if reset:
             self._steps = 0
             self._truncated = False
-        yield from self._prove(list(goals))
+        yield from self._prove(goals)
 
     @property
     def truncated(self) -> bool:
@@ -313,12 +310,11 @@ def _named_vars(goals: list) -> dict[str, Var]:
     out: dict[str, Var] = {}
 
     def walk(t):
-        if isinstance(t, Var):
-            if t.name and t.name not in out:
-                out[t.name] = t
-        elif isinstance(t, ListCons):
+        while isinstance(t, ListCons):
             walk(t.head)
-            walk(t.tail)
+            t = t.tail
+        if isinstance(t, Var) and t.name:
+            out.setdefault(t.name, t)
         elif isinstance(t, Struct):
             for a in t.args:
                 walk(a)

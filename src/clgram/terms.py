@@ -341,6 +341,11 @@ def unify(store: Store, a, b) -> bool:
 def _unify(store: Store, a, b) -> bool:
     a = store.deref(a)
     b = store.deref(b)
+    while isinstance(a, ListCons) and isinstance(b, ListCons) and a is not b:
+        if not _unify(store, a.head, b.head):
+            return False
+        a = store.deref(a.tail)
+        b = store.deref(b.tail)
     if a is b:
         return True
     if isinstance(a, Var):
@@ -351,10 +356,6 @@ def _unify(store: Store, a, b) -> bool:
         return isinstance(b, Atom) and a.name == b.name
     if isinstance(a, _Nil):
         return isinstance(b, _Nil)
-    if isinstance(a, ListCons):
-        return (isinstance(b, ListCons)
-                and _unify(store, a.head, b.head)
-                and _unify(store, a.tail, b.tail))
     if isinstance(a, Struct):
         if not (isinstance(b, Struct) and a.name == b.name
                 and len(a.args) == len(b.args)):
@@ -381,11 +382,12 @@ def _occurs(store: Store, target, t, seen: set | None = None) -> bool:
     itself.  Records walked are kept in `seen`, so a cycle through
     records ends the walk."""
     t = store.deref(t)
+    while isinstance(t, ListCons):
+        if _occurs(store, target, t.head, seen):
+            return True
+        t = store.deref(t.tail)
     if t is target:
         return True
-    if isinstance(t, ListCons):
-        return (_occurs(store, target, t.head, seen)
-                or _occurs(store, target, t.tail, seen))
     if isinstance(t, Struct):
         return any(_occurs(store, target, a, seen) for a in t.args)
     if isinstance(t, Avm):
@@ -442,10 +444,15 @@ def copy_term(store: Store, t, memo: dict | None = None, counter=None):
     if key in memo:
         return memo[key]
     if isinstance(t, ListCons):
-        node = memo[key] = ListCons(None, None)
-        node.head = copy_term(store, t.head, memo, counter)
-        node.tail = copy_term(store, t.tail, memo, counter)
-        return node
+        first = node = memo[key] = ListCons(None, None)
+        while True:  # along the tail, copying cell by cell
+            node.head = copy_term(store, t.head, memo, counter)
+            t = store.deref(t.tail)
+            if not isinstance(t, ListCons) or id(t) in memo:
+                node.tail = copy_term(store, t, memo, counter)
+                return first
+            node.tail = memo[id(t)] = ListCons(None, None)
+            node = node.tail
     if isinstance(t, Struct):
         node = memo[key] = Struct(t.name, ())
         node.args = tuple(copy_term(store, a, memo, counter) for a in t.args)

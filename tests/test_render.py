@@ -120,6 +120,22 @@ class TestCanonical:
         with pytest.raises(ValueError):
             canonical(a)
 
+    @pytest.mark.parametrize("shape", ["list_tail", "record_through_list"])
+    def test_cycle_through_list_rejected(self, sorts, shape):
+        if shape == "list_tail":
+            t = make_list([Atom("a"), Atom("b")])
+            t.tail.tail = t
+        else:
+            t = Avm(sorts.get("noun"), {})
+            t.feats["l"] = make_list([Atom("x"), t])
+        with pytest.raises(ValueError):
+            canonical(t)
+
+    def test_shared_list_cell_is_not_a_cycle(self):
+        last = ListCons(Atom("c"), NIL)
+        t = ListCons(last, ListCons(Atom("b"), last))   # [[c], b, c]
+        assert canonical_text(canonical(t)) == "[[c], b, c]"
+
     def test_text_forms(self, sorts):
         assert canonical_text(canonical(make_list([Atom("a"), Atom("b")]))) == "[a, b]"
         assert canonical_text(canonical(Struct("f", (Atom("a"),)))) == "f(a)"

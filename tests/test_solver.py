@@ -1,7 +1,13 @@
 """Engine behavior: delays, waking, truncation, indexing, purity."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import clgram
 from clgram import (Atom, Engine, Program, Solution, Struct, Truncated,
                     UndefinedPredicateError, canonical, canonical_text,
                     make_list, unify)
@@ -216,3 +222,53 @@ class TestNaiveEquivalence:
         without.load(stripped)
         for q in self.QUERIES:
             assert self.answers(with_blocks, q) == self.answers(without, q), q
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter that imports this clgram, so a
+    crash fails the one test instead of the test process."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(clgram.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+class TestDepth:
+    """Search depth and list length cost heap, not interpreter stack."""
+
+    def test_long_concat_completes(self):
+        proc = run_python("""
+            import json
+            from clgram import (Atom, Engine, Solution, Struct, Var,
+                                build_program, canonical, canonical_text,
+                                make_list, render)
+            program, _ = build_program()
+            engine = Engine(program, max_depth=200000)
+            engine.store.occurs_check = False
+            x, y = Var("X"), Var("Y")
+            goals = [Struct("concat", (x, make_list([Atom("b")]), y)),
+                     Struct("eq", (x, make_list([Atom("a")] * 100000)))]
+            out = list(engine.solve(goals, var_names={"Y": y}))
+            assert len(out) == 1 and isinstance(out[0], Solution), out
+            assert not out[0].residue
+            y = out[0].bindings["Y"]
+            print(len(canonical_text(canonical(y)).split(", ")),
+                  len(json.loads(render(y, "json"))))
+            """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["100001", "100001"]
+
+    def test_recursion_limit_untouched(self):
+        proc = run_python("""
+            import sys
+            from clgram import Engine, Parser, build_program
+            before = sys.getrecursionlimit()
+            program, lexicon = build_program()
+            Engine(program, max_depth=200000)
+            assert Parser(program, lexicon).parse("dat arie wil slapen").grammatical
+            print(before, sys.getrecursionlimit())
+            """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        before, after = proc.stdout.split()
+        assert after == before
