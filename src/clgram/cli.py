@@ -27,7 +27,7 @@ from . import fragment
 from .errors import ClgramError
 from .parser import Parser
 from .reader import parse_goals
-from .render import canonical, canonical_text, render
+from .render import _var_text, canonical, canonical_text, render
 from .solver import Engine, Truncated
 from .terms import resolve
 
@@ -55,10 +55,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default=_env_flag("ENABLE_SLASH"),
                    help="also build entries with an extracted argument")
     p.add_argument("--max-depth", type=int,
-                   default=int(_env("MAX_DEPTH", "200000")),
+                   default=_env("MAX_DEPTH", "200000"),
                    help="step budget per enumeration")
     p.add_argument("--max-sc-length", type=int,
-                   default=int(_env("MAX_SC_LENGTH", "10")),
+                   default=_env("MAX_SC_LENGTH", "10"),
                    help="longest subcat list accepted; longer sentences "
                         "are ungrammatical")
 
@@ -108,10 +108,6 @@ def _brief(term, store, limit: int = 160) -> str:
     return text
 
 
-def _var_name(var) -> str:
-    return var.name or f"_G{var.id}"
-
-
 def _json_line(obj, out=None) -> None:
     print(json.dumps(obj, ensure_ascii=False), file=out)
 
@@ -122,11 +118,11 @@ def _trace_printer(out, fmt: str):
     def emit(event, store):
         tag = event[0]
         if tag == "bind":
-            fields = {"var": _var_name(event[1]), "value": _brief(event[2], store)}
+            fields = {"var": _var_text(event[1]), "value": _brief(event[2], store)}
         else:
             fields = {"goal": _brief(event[1], store)}
             if tag == "suspend":
-                fields["on"] = [_var_name(v) for v in event[2]]
+                fields["on"] = [_var_text(v) for v in event[2]]
         if fmt == "json":
             _json_line({"event": tag, **fields}, out)
         elif tag == "bind":

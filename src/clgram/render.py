@@ -140,8 +140,8 @@ def _to_json(t):
 
 def canonical(t, _numbering: dict | None = None, _stack: set | None = None) -> tuple:
     """Order-independent hashable form.  Unbound variables are numbered by
-    first visit, features sorted, so two snapshots of the same abstract
-    object compare equal."""
+    first visit (told apart by identity, not by label), features sorted,
+    so two snapshots of the same abstract object compare equal."""
     if _numbering is None:
         _numbering = {}
     if _stack is None:
@@ -149,9 +149,8 @@ def canonical(t, _numbering: dict | None = None, _stack: set | None = None) -> t
     if isinstance(t, Atom):
         return ("atom", t.name)
     if isinstance(t, Var):
-        if t.id not in _numbering:
-            _numbering[t.id] = len(_numbering) + 1
-        return ("var", _numbering[t.id])
+        n = _numbering.setdefault(id(t), len(_numbering) + 1)
+        return ("var", n)
     if isinstance(t, _Nil):
         return ("nil",)
     if isinstance(t, ListCons):

@@ -7,10 +7,13 @@ feature sets, so records stay open to further refinement.
 
 Unification is destructive with a trail, in the style of WAM-based
 engines: every side effect pushes an undo entry, and `Store.undo_to`
-rewinds to a mark.  Merged Avm nodes are not copied; the dead node gets
-a forward pointer to the survivor (dereferencing follows both variable
-bindings and forwards).  This keeps structure sharing intact, which the
-grammar relies on for its scope distinctions.
+rewinds to a mark.  Variables and records share one reference slot,
+`ref`: a bound variable's `ref` holds its value, and a merged Avm node is
+not copied but gets a `ref` to the survivor, so dereferencing follows
+one kind of link.  This keeps structure sharing intact, which the
+grammar relies on for its scope distinctions.  Since a binding lives on
+the term, a term belongs to one live store at a time; every Engine and
+parser attempt builds its own terms and undoes to its mark when done.
 
 The store also owns the suspension machinery used by the solver: goals
 blocked on unbound variables are parked here, and binding one of their
@@ -20,7 +23,6 @@ watched variables moves them onto a wake list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import SortError
 
@@ -87,11 +89,15 @@ class SortTable:
 # terms
 
 class Var:
-    __slots__ = ("id", "name")
+    """Logic variable.  `ref` is None while unbound; `id` is only a
+    display label, which `resolve` renumbers."""
+
+    __slots__ = ("id", "name", "ref")
 
     def __init__(self, name: str | None = None):
         self.id = next(_var_ids)
         self.name = name
+        self.ref = None
 
     def __repr__(self):
         return f"Var({self.name or '_G%d' % self.id})"
@@ -148,14 +154,15 @@ class ListCons:
 
 
 class Avm:
-    """Open record with a sort.  `forward` points at the merge survivor."""
+    """Open record with a sort.  `ref` points at the merge survivor, as a
+    bound variable's `ref` points at its value."""
 
-    __slots__ = ("sort", "feats", "forward")
+    __slots__ = ("sort", "feats", "ref")
 
     def __init__(self, sort: Sort, feats: dict | None = None):
         self.sort = sort
         self.feats = feats if feats is not None else {}
-        self.forward = None
+        self.ref = None
 
     def __repr__(self):
         return f"Avm({self.sort.name}, {sorted(self.feats)})"
@@ -183,14 +190,12 @@ def list_to_python(store: "Store", t) -> tuple[list, object]:
 # suspensions
 
 class Suspension:
-    __slots__ = ("goal", "seq", "var_ids", "woken", "queued")
+    __slots__ = ("goal", "seq", "woken")
 
-    def __init__(self, goal, seq: int, var_ids: tuple[int, ...]):
+    def __init__(self, goal, seq: int):
         self.goal = goal
         self.seq = seq
-        self.var_ids = var_ids
         self.woken = False
-        self.queued = False
 
     def __repr__(self):
         return f"Suspension(seq={self.seq}, woken={self.woken})"
@@ -200,17 +205,17 @@ class Suspension:
 # store
 
 class Store:
-    """Bindings, trail, and suspension bookkeeping for one solver run.
+    """Trail and suspension bookkeeping for one solver run.
 
+    Bindings and merge forwards live on the terms, in their `ref` slot.
     Trail entries are small tuples; the first element tags the undo
-    action.  Everything that mutates solver-visible state goes through a
-    helper here so backtracking restores it exactly.
+    action.  Everything that mutates solver-visible state, a `ref`
+    included, goes through a helper here so backtracking restores it.
     """
 
     def __init__(self, sorts: SortTable | None = None, occurs_check: bool = True):
         self.sorts = sorts if sorts is not None else SortTable()
-        self.bindings: dict[int, object] = {}
-        self.suspensions: dict[int, list[Suspension]] = {}
+        self.suspensions: dict[Var, list[Suspension]] = {}
         self.trail: list[tuple] = []
         self.wake_list: list[Suspension] = []
         self.susp_log: list[Suspension] = []
@@ -231,10 +236,8 @@ class Store:
         while len(trail) > m:
             entry = trail.pop()
             tag = entry[0]
-            if tag == "b":
-                del self.bindings[entry[1]]
-            elif tag == "fwd":
-                entry[1].forward = None
+            if tag == "ref":
+                entry[1].ref = None
             elif tag == "sort":
                 entry[1].sort = entry[2]
             elif tag == "feat":
@@ -245,48 +248,39 @@ class Store:
                 self.susp_log.pop()
             elif tag == "wake":
                 self.wake_list.pop()
+                entry[1].woken = False
             elif tag == "drain":
                 self.wake_list = entry[1]
-            elif tag == "wk":
-                entry[1].woken = False
-            elif tag == "q":
-                entry[1].queued = False
             else:  # pragma: no cover
                 raise AssertionError(f"bad trail tag {tag!r}")
 
     # -- dereference
 
     def deref(self, t):
-        while True:
-            if isinstance(t, Var):
-                nxt = self.bindings.get(t.id)
-                if nxt is None:
-                    return t
-                t = nxt
-            elif isinstance(t, Avm) and t.forward is not None:
-                t = t.forward
-            else:
+        while isinstance(t, Var) or isinstance(t, Avm):
+            nxt = t.ref
+            if nxt is None:
                 return t
+            t = nxt
+        return t
 
     # -- mutation helpers (each one trails its own undo)
 
+    def _set_ref(self, node, to) -> None:
+        node.ref = to
+        self.trail.append(("ref", node))
+
     def _bind(self, v: Var, t) -> None:
-        self.bindings[v.id] = t
-        self.trail.append(("b", v.id))
+        self._set_ref(v, t)
         if self.trace:
             self.trace(("bind", v, t), self)
-        pending = self.suspensions.get(v.id)
+        pending = self.suspensions.get(v)
         if pending:
             for s in pending:
-                if not s.woken and not s.queued:
-                    s.queued = True
-                    self.trail.append(("q", s))
+                if not s.woken:
+                    s.woken = True
                     self.wake_list.append(s)
-                    self.trail.append(("wake",))
-
-    def _set_forward(self, node: Avm, to: Avm) -> None:
-        node.forward = to
-        self.trail.append(("fwd", node))
+                    self.trail.append(("wake", s))
 
     def _set_sort(self, node: Avm, sort: Sort) -> None:
         self.trail.append(("sort", node, node.sort))
@@ -299,10 +293,10 @@ class Store:
     # -- suspensions
 
     def suspend_goal(self, goal, variables: list[Var]) -> Suspension:
-        s = Suspension(goal, next(self._susp_seq), tuple(v.id for v in variables))
+        s = Suspension(goal, next(self._susp_seq))
         for v in variables:
-            self.suspensions.setdefault(v.id, []).append(s)
-            self.trail.append(("susp", v.id))
+            self.suspensions.setdefault(v, []).append(s)
+            self.trail.append(("susp", v))
         self.susp_log.append(s)
         self.trail.append(("log",))
         if self.trace:
@@ -311,19 +305,19 @@ class Store:
 
     def drain_wakes(self) -> list[Suspension]:
         """Take every queued suspension off the wake list, oldest first.
-        The drained list and the woken flags are both trailed."""
+        The drained list is trailed; each suspension's woken flag was set
+        and trailed when it was queued."""
         drained = self.wake_list
         self.trail.append(("drain", drained))
         self.wake_list = []
         drained = sorted(drained, key=lambda s: s.seq)
-        for s in drained:
-            s.woken = True
-            self.trail.append(("wk", s))
-            if self.trace:
+        if self.trace:
+            for s in drained:
                 self.trace(("resume", s.goal), self)
         return drained
 
     def pending_residue(self) -> list:
+        """Goals still suspended; read only once the wake list is drained."""
         return [s.goal for s in self.susp_log if not s.woken]
 
 
@@ -341,7 +335,14 @@ def unify(store: Store, a, b) -> bool:
 def _unify(store: Store, a, b) -> bool:
     a = store.deref(a)
     b = store.deref(b)
+    # without the occurs check lists may be cyclic: a cell pair met again
+    # closes a loop whose heads have all unified
+    pairs = None if store.occurs_check else set()
     while isinstance(a, ListCons) and isinstance(b, ListCons) and a is not b:
+        if pairs is not None:
+            if (id(a), id(b)) in pairs:
+                return True
+            pairs.add((id(a), id(b)))
         if not _unify(store, a.head, b.head):
             return False
         a = store.deref(a.tail)
@@ -406,7 +407,7 @@ def _merge_avms(store: Store, a: Avm, b: Avm) -> bool:
         return False
     if store.occurs_check and (_occurs(store, b, a) or _occurs(store, a, b)):
         return False
-    store._set_forward(b, a)
+    store._set_ref(b, a)
     if a.sort is not meet:
         store._set_sort(a, meet)
     for f, v in list(b.feats.items()):
@@ -431,18 +432,16 @@ def copy_term(store: Store, t, memo: dict | None = None, counter=None):
     if memo is None:
         memo = {}
     t = store.deref(t)
-    if isinstance(t, Var):
-        key = ("v", t.id)
-        if key not in memo:
-            v = memo[key] = Var(t.name)
-            if counter is not None:
-                v.id = next(counter)
-        return memo[key]
     if isinstance(t, (Atom, _Nil)):
         return t
     key = id(t)
     if key in memo:
         return memo[key]
+    if isinstance(t, Var):
+        v = memo[key] = Var(t.name)
+        if counter is not None:
+            v.id = next(counter)
+        return v
     if isinstance(t, ListCons):
         first = node = memo[key] = ListCons(None, None)
         while True:  # along the tail, copying cell by cell

@@ -198,6 +198,14 @@ class TestEnvFallbacks:
         code, _, err = run_cli(capsys, "parse", "dat arie bob kust")
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["MAX_DEPTH", "MAX_SC_LENGTH"])
+    def test_bad_int_env_is_a_usage_error(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["parse", "dat arie wil slapen"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -105,6 +105,12 @@ class TestCanonical:
         assert c == ("cons", ("var", 1),
                      ("cons", ("var", 2), ("cons", ("var", 1), ("nil",))))
 
+    def test_vars_sharing_a_label_stay_distinct(self):
+        st = Store(SortTable())
+        a, b = resolve(st, st.new_var()), resolve(st, st.new_var())
+        assert a.id == b.id == 1            # each snapshot numbers from 1
+        assert canonical_text(canonical(Struct("f", (a, b)))) == "f(_1, _2)"
+
     def test_avm_features_sorted(self, sorts):
         a = Avm(sorts.get("noun"), {"b": Atom("y"), "a": Atom("x")})
         assert canonical(a) == \

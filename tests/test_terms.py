@@ -5,6 +5,7 @@ import pytest
 from clgram import (Atom, Avm, ListCons, NIL, SortError, SortTable, Store,
                     Struct, Var, canonical, copy_term, list_to_python,
                     make_list, resolve, unify)
+from test_solver import run_python
 
 
 @pytest.fixture
@@ -155,6 +156,21 @@ class TestOccursCheck:
         x = st.new_var()
         assert unify(st, x, Struct("f", (x,)))
 
+    @pytest.mark.parametrize("x_heads, y_heads, expect", [
+        ("a", "a", True), ("a", "b", False), ("a", "aa", True)])
+    def test_disabled_cyclic_lists_terminate(self, x_heads, y_heads, expect):
+        # X = [a|X], Y = [a|Y], then X = Y: must end, not walk the tails forever
+        proc = run_python(f"""
+            from clgram import Atom, Store, make_list, unify
+            st = Store(occurs_check=False)
+            x, y = st.new_var("X"), st.new_var("Y")
+            assert unify(st, x, make_list([Atom(c) for c in {x_heads!r}], x))
+            assert unify(st, y, make_list([Atom(c) for c in {y_heads!r}], y))
+            print(unify(st, x, y))
+            """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == [str(expect)]
+
 
 class TestFailurePurity:
     def test_bindings_rolled_back(self, store):
@@ -244,6 +260,16 @@ class TestCopyResolve:
         assert canonical(resolve(store, t1)) == canonical(resolve(store, t2))
         t3 = Struct("f", (p, q, q))
         assert canonical(resolve(store, t3)) != canonical(resolve(store, t1))
+
+    def test_snapshot_vars_sharing_a_label_bind_apart(self):
+        st = Store()
+        a, b = resolve(st, st.new_var()), resolve(st, st.new_var())
+        assert a.id == b.id == 1            # each snapshot numbers from 1
+        fresh = Store()
+        assert unify(fresh, a, Atom("x"))
+        assert fresh.deref(b) is b
+        assert unify(fresh, b, Atom("y"))
+        assert fresh.deref(a) == Atom("x")
 
     def test_list_roundtrip(self, store):
         t = make_list([Atom("a"), Atom("b")])
