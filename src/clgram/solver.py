@@ -21,6 +21,12 @@ with bindings live in the store until the consumer advances.  `solve`
 wraps this with snapshotting and cleanup.  Exceeding the step budget
 ends the enumeration with a `Truncated` marker so callers can tell a
 cut-off search from an exhausted one.
+
+A clause is tried without renaming it first: `terms.match` unifies the
+goal with the clause head as read, using a fresh memo as the clause's
+variable table, so a head that fails builds next to nothing.  Only once
+the head has unified is the body copied, with the same memo, so the
+body's variables are the goal terms the head bound them to.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ from dataclasses import dataclass
 from .errors import UndefinedPredicateError
 from .reader import parse_source
 from .terms import (Atom, Avm, ListCons, SortTable, Store, Struct, Var, _Nil,
-                    copy_term, resolve, unify)
+                    copy_term, match, resolve)
+# no longer called here, but `bench/tracer.py` wraps `clgram.solver.unify`
+from .terms import unify  # noqa: F401
 
 
 @dataclass
@@ -85,12 +93,15 @@ class Program:
         self._clauses: dict[tuple[str, int], list[Clause]] = {}
         self._blocks: dict[tuple[str, int], BlockSpec] = {}
         self._loaded: set[str] = set()
+        # candidates per (predicate, first-argument key), in clause order
+        self._filtered: dict[tuple, list[Clause]] = {}
 
     def load(self, text: str, path: str | None = None) -> None:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         if digest in self._loaded:
             return
         self._loaded.add(digest)
+        self._filtered.clear()
         for item in parse_source(text, self.sorts, path):
             kind = item[0]
             if kind == "sort":
@@ -131,7 +142,11 @@ class Program:
         g = _index_key(store.deref(args[0]))
         if g is None:
             return clauses
-        return [c for c in clauses if c.index_key is None or c.index_key == g]
+        out = self._filtered.get((key, g))
+        if out is None:
+            out = self._filtered[key, g] = [
+                c for c in clauses if c.index_key is None or c.index_key == g]
+        return out
 
 
 @dataclass
@@ -205,12 +220,6 @@ class Engine:
 
     # -- proving
 
-    def _rename(self, clause: Clause):
-        memo: dict = {}
-        head = copy_term(self.store, clause.head, memo)
-        body = tuple(copy_term(self.store, g, memo) for g in clause.body)
-        return head, body
-
     def _prove(self, goals: list):
         store = self.store
         rest = None                     # the resolvent as (goal, rest) pairs
@@ -254,8 +263,9 @@ class Engine:
                 if clause is None:
                     choices.pop()
                     continue
-                head, body = self._rename(clause)
-                if unify(store, goal, head):
+                memo: dict = {}
+                if match(store, goal, clause.head, memo):
+                    body = [copy_term(store, g, memo) for g in clause.body]
                     for g in reversed(body):
                         rest = (g, rest)
                     break

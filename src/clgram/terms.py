@@ -15,6 +15,10 @@ grammar relies on for its scope distinctions.  Since a binding lives on
 the term, a term belongs to one live store at a time; every Engine and
 parser attempt builds its own terms and undoes to its mark when done.
 
+The solver tries a clause with `match`, which unifies a goal with the
+clause head as read and builds only what the goal lacks; a clause
+variable at its first occurrence needs no occurs check there.
+
 The store also owns the suspension machinery used by the solver: goals
 blocked on unbound variables are parked here, and binding one of their
 watched variables moves them onto a wake list.
@@ -332,18 +336,20 @@ def unify(store: Store, a, b) -> bool:
     return False
 
 
-def _unify(store: Store, a, b) -> bool:
+def _unify(store: Store, a, b, pairs: set | None = None) -> bool:
+    # without the occurs check terms may be cyclic: one set of visited
+    # (list cell or structure) pairs per top-level call, so a pair met
+    # again closes a loop whose other parts all unified
+    if pairs is None and not store.occurs_check:
+        pairs = set()
     a = store.deref(a)
     b = store.deref(b)
-    # without the occurs check lists may be cyclic: a cell pair met again
-    # closes a loop whose heads have all unified
-    pairs = None if store.occurs_check else set()
     while isinstance(a, ListCons) and isinstance(b, ListCons) and a is not b:
         if pairs is not None:
             if (id(a), id(b)) in pairs:
                 return True
             pairs.add((id(a), id(b)))
-        if not _unify(store, a.head, b.head):
+        if not _unify(store, a.head, b.head, pairs):
             return False
         a = store.deref(a.tail)
         b = store.deref(b.tail)
@@ -361,12 +367,16 @@ def _unify(store: Store, a, b) -> bool:
         if not (isinstance(b, Struct) and a.name == b.name
                 and len(a.args) == len(b.args)):
             return False
+        if pairs is not None:
+            if (id(a), id(b)) in pairs:
+                return True
+            pairs.add((id(a), id(b)))
         for x, y in zip(a.args, b.args):
-            if not _unify(store, x, y):
+            if not _unify(store, x, y, pairs):
                 return False
         return True
     if isinstance(a, Avm):
-        return isinstance(b, Avm) and _merge_avms(store, a, b)
+        return isinstance(b, Avm) and _merge_avms(store, a, b, pairs)
     return False
 
 
@@ -401,7 +411,7 @@ def _occurs(store: Store, target, t, seen: set | None = None) -> bool:
     return False
 
 
-def _merge_avms(store: Store, a: Avm, b: Avm) -> bool:
+def _merge_avms(store: Store, a: Avm, b: Avm, pairs: set | None) -> bool:
     meet = store.sorts.meet(a.sort, b.sort)
     if meet is None:
         return False
@@ -414,11 +424,100 @@ def _merge_avms(store: Store, a: Avm, b: Avm) -> bool:
         # nested merges may forward the survivor itself; re-deref each time
         t = store.deref(a)
         if f in t.feats:
-            if not _unify(store, t.feats[f], v):
+            if not _unify(store, t.feats[f], v, pairs):
                 return False
         else:
             store._add_feat(t, f, v)
     return True
+
+
+# ---------------------------------------------------------------------------
+# matching a clause head in place
+
+def match(store: Store, goal, head, memo: dict) -> bool:
+    """Unify `goal` with the clause term `head` as read, without copying
+    `head` first: the result is that of `unify(store, goal, copy_term(
+    store, head, memo))`, but only the parts the goal has no node for are
+    built.  `memo` is `copy_term`'s memo and doubles as the clause's
+    variable table, so copying the clause body with it afterwards shares
+    what the head bound.  Clause terms are never bound; as read they share
+    nothing but variables.  On failure the caller undoes to its mark.
+
+    A clause variable at its first occurrence just stands for the goal
+    term it meets: its copy would be a fresh variable, which cannot occur
+    in that term, so the occurs check has nothing to find (Apt and
+    Pellegrini, "On the occur-check-free Prolog programs", TOPLAS 1994;
+    the WAM's first-occurrence `get_variable`).  Later occurrences unify
+    with the full check."""
+    while True:  # along list tails
+        if isinstance(head, Var):
+            key = id(head)
+            if key in memo:
+                return _unify(store, goal, memo[key])
+            memo[key] = goal
+            return True
+        goal = store.deref(goal)
+        if isinstance(goal, Var):
+            return _bind_var(store, goal, copy_term(store, head, memo))
+        if isinstance(head, ListCons):
+            if not (isinstance(goal, ListCons)
+                    and match(store, goal.head, head.head, memo)):
+                return False
+            goal, head = goal.tail, head.tail
+            continue
+        if isinstance(head, Atom):
+            return isinstance(goal, Atom) and goal.name == head.name
+        if isinstance(head, Struct):
+            if not (isinstance(goal, Struct) and goal.name == head.name
+                    and len(goal.args) == len(head.args)):
+                return False
+            for x, y in zip(goal.args, head.args):
+                if not match(store, x, y, memo):
+                    return False
+            return True
+        if isinstance(head, Avm):
+            return isinstance(goal, Avm) and _match_avm(store, goal, head, memo)
+        return goal is head  # NIL
+
+
+def _match_avm(store: Store, goal: Avm, head: Avm, memo: dict) -> bool:
+    """Merge the clause record `head` into the goal record, feature by
+    feature in the clause's order, as `_merge_avms(goal, copy)` would.
+    The copy would be fresh, so it can reach the goal record only through
+    a clause variable the memo already holds: that is the one occurs test
+    left to make."""
+    meet = store.sorts.meet(goal.sort, head.sort)
+    if meet is None:
+        return False
+    if store.occurs_check and _reaches(store, goal, head, memo, set()):
+        return False
+    if goal.sort is not meet:
+        store._set_sort(goal, meet)
+    for f, v in head.feats.items():
+        # nested merges may forward the goal record; re-deref each time
+        t = store.deref(goal)
+        if f in t.feats:
+            if not match(store, t.feats[f], v, memo):
+                return False
+        else:
+            store._add_feat(t, f, copy_term(store, v, memo))
+    return True
+
+
+def _reaches(store: Store, target, t, memo: dict, seen: set) -> bool:
+    """Does `target` occur in what the clause term `t` stands for under
+    `memo`?  Only the variables the memo holds lead out of the clause."""
+    while isinstance(t, ListCons):
+        if _reaches(store, target, t.head, memo, seen):
+            return True
+        t = t.tail
+    if isinstance(t, Var):
+        return id(t) in memo and _occurs(store, target, memo[id(t)], seen)
+    if isinstance(t, Struct):
+        return any(_reaches(store, target, a, memo, seen) for a in t.args)
+    if isinstance(t, Avm):
+        return any(_reaches(store, target, x, memo, seen) for x in t.feats.values())
+    return False
 
 
 # ---------------------------------------------------------------------------

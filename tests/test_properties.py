@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from clgram import (Atom, Avm, Engine, ListCons, NIL, Solution, SortTable,
                     Store, Struct, canonical, copy_term, make_list, resolve,
                     unify)
+from clgram.render import canonical_text
+from clgram.terms import match
 
 SETTINGS = dict(derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -113,6 +115,44 @@ def test_canonical_is_stable(s):
     x = store.new_var()
     assert unify(store, x, t)
     assert snap(store, t) == first
+
+
+def generalised(spec):
+    """`spec` with any subterm possibly replaced by a variable.  A goal and
+    head pair where one generalises the other often matches, so repeated
+    variables on either side meet different parts of the other."""
+    kind = spec[0]
+    if kind == "list":
+        same = st.tuples(*map(generalised, spec[1])).map(
+            lambda items: ("list", items, spec[2]))
+    elif kind == "avm":
+        same = st.tuples(*(generalised(v) for _, v in spec[2])).map(
+            lambda vals: ("avm", spec[1],
+                          tuple(zip((k for k, _ in spec[2]), vals))))
+    elif kind == "struct":
+        same = st.tuples(*map(generalised, spec[2])).map(
+            lambda args: ("struct", spec[1], args))
+    else:
+        same = st.just(spec)
+    return st.one_of(st.tuples(st.just("var"), VARS), same)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(specs.flatmap(lambda s: st.one_of(
+    st.tuples(st.just(s), specs),
+    st.tuples(st.just(s), generalised(s)),
+    st.tuples(generalised(s), st.just(s)))))
+def test_match_is_unify_with_a_copy(pair):
+    # the head is a clause term as read: built apart, never bound
+    goal_spec, head_spec = pair
+    store = Store(sort_table())
+    goal, head = build(store, goal_spec, {}), build(store, head_spec, {})
+    matched = match(store, goal, head, {})
+    ref = Store(sort_table())
+    ref_goal, ref_head = build(ref, goal_spec, {}), build(ref, head_spec, {})
+    assert matched == unify(ref, ref_goal, copy_term(ref, ref_head))
+    if matched:
+        assert canonical_text(snap(store, goal)) == canonical_text(snap(ref, ref_goal))
 
 
 def atoms_list(names):

@@ -9,7 +9,7 @@ import pytest
 
 import clgram
 from clgram import (Atom, Engine, Program, Solution, Struct, Truncated,
-                    UndefinedPredicateError, canonical, canonical_text,
+                    UndefinedPredicateError, Var, canonical, canonical_text,
                     make_list, unify)
 from clgram.fragment import fragment_source
 from clgram.reader import parse_goals
@@ -188,6 +188,46 @@ class TestIndexing:
         assert len(prog.candidates(("p", 1), eng.store, (x,))) == 2
 
 
+class TestHeadMatch:
+    """Clause heads are matched in place: the occurs check is left out only
+    at a clause variable's first occurrence."""
+
+    def test_second_occurrence_is_checked(self):
+        prog = Program()
+        prog.load("eq(A, A).\n")
+        assert run(Engine(prog), "eq(f(X), X).") == []
+
+    def test_goal_variable_cannot_take_a_term_holding_itself(self):
+        # A is X's value by the time it meets f(X)
+        prog = Program()
+        prog.load("p(X, f(X)).\n")
+        assert run(Engine(prog), "p(A, A).") == []
+
+    def test_clause_record_cannot_reach_goal_record(self):
+        # X's value is the goal record, so merging the clause record into
+        # it would make a record that contains itself
+        prog = Program()
+        prog.load("sort sign < top.\neq(A, A).\np(X, @sign{f: X}).\n")
+        assert run(Engine(prog), "eq(A, @sign{}), p(A, A).") == []
+
+    def test_occurs_check_is_linear_in_list_length(self, program, monkeypatch):
+        calls = 0
+        real = clgram.terms._occurs
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+        monkeypatch.setattr(clgram.terms, "_occurs", counting)
+        n = 1000
+        x, y = Var("X"), Var("Y")
+        goals = [Struct("concat", (x, make_list([Atom("b")]), y)),
+                 Struct("eq", (x, make_list([Atom("a")] * n)))]
+        out = list(Engine(program).solve(goals, var_names={"Y": y}))
+        assert len(out) == 1 and isinstance(out[0], Solution)
+        assert calls <= 4 * n
+
+
 class TestNaiveEquivalence:
     """Without block declarations these directed queries run depth-first
     with no suspensions; answers must coincide with the delaying engine."""
@@ -258,6 +298,24 @@ class TestDepth:
             """)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == ["100001", "100001"]
+
+    def test_long_concat_with_occurs_check(self):
+        proc = run_python("""
+            from clgram import (Atom, Engine, Solution, Struct, Var,
+                                build_program, make_list)
+            program, _ = build_program()
+            engine = Engine(program, max_depth=200000)
+            assert engine.store.occurs_check
+            x, y = Var("X"), Var("Y")
+            goals = [Struct("concat", (x, make_list([Atom("b")]), y)),
+                     Struct("eq", (x, make_list([Atom("a")] * 100000)))]
+            out = list(engine.solve(goals, var_names={"Y": y}))
+            assert len(out) == 1 and isinstance(out[0], Solution), out
+            assert not out[0].residue
+            print("ok")
+            """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["ok"]
 
     def test_recursion_limit_untouched(self):
         proc = run_python("""

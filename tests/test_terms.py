@@ -171,6 +171,25 @@ class TestOccursCheck:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == [str(expect)]
 
+    @pytest.mark.parametrize("x_value, y_value, expect", [
+        ("Struct('f', (x,))", "Struct('f', (y,))", True),
+        ("make_list([x])", "make_list([y])", True),
+        ("Struct('f', (x,))", "Struct('g', (y,))", False)],
+        ids=["struct", "list_head", "clash"])
+    def test_disabled_cyclic_terms_terminate(self, x_value, y_value, expect):
+        # X = f(X), Y = f(Y), then X = Y: cyclic through an argument or a
+        # list head, so the recursion must end, not overflow
+        proc = run_python(f"""
+            from clgram import Store, Struct, make_list, unify
+            st = Store(occurs_check=False)
+            x, y = st.new_var("X"), st.new_var("Y")
+            assert unify(st, x, {x_value})
+            assert unify(st, y, {y_value})
+            print(unify(st, x, y))
+            """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == [str(expect)]
+
 
 class TestFailurePurity:
     def test_bindings_rolled_back(self, store):
