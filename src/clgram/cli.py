@@ -56,7 +56,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="also build entries with an extracted argument")
     p.add_argument("--max-depth", type=int,
                    default=_env("MAX_DEPTH", "200000"),
-                   help="step budget per enumeration")
+                   help="step budget per parse attempt or --goal query")
     p.add_argument("--max-sc-length", type=int,
                    default=_env("MAX_SC_LENGTH", "10"),
                    help="longest subcat list accepted; longer sentences "

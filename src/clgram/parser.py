@@ -16,6 +16,21 @@ next round of delayed rules.
 
 An answer counts as a derivation only if nothing is left suspended:
 a parse conditional on an unapplied lexical rule is no parse.
+
+Everything a word's entry does before its first suspension is the same
+in every sentence, so it is derived once per Program and tabled
+(Johnson and Dörre, "Memoization of coroutined constraints", ACL 1995).
+The first time an attempt needs a word, `lexical_entry(W, Form, E)` or
+`lexical_dependent(W, E)` is solved with `E` unbound, on the attempt's
+own Engine and under its trace hook.  Each answer becomes a clause
+`tabled_entry(W, Form, E') :- Residue` (or `tabled_dependent(W, E')`),
+where `Residue` is the goals still suspended (`add_adj`, the `concat`
+of a finite or perception-verb entry, and with extraction on
+`take_one`), resolved together with `E'` so the two share variables.
+The finite entry goal and the match rules call these clauses: matching
+the head puts the tabled entry in place, and the residue runs again
+against the sentence's terms, driven by the same wakes as before.
+Loading source into the Program drops the table.
 """
 
 from __future__ import annotations
@@ -26,19 +41,19 @@ from .errors import LimitExceededError, NoFiniteVerbError, UnknownTokensError
 from .lexicon import Lexicon
 from .render import canonical, canonical_text
 from .solver import Engine, Program
-from .terms import NIL, Atom, Avm, ListCons, Struct, make_list, resolve
+from .terms import NIL, Atom, Avm, ListCons, Struct, Var, make_list, resolve
 
 # Surface matching as clauses, so it can drive the same waking machinery
 # as everything else.  The member spine comes in reverse subcat order:
 # tokens left of the head are consumed front-to-back, cluster verbs
-# deepest-first.
+# deepest-first.  Each member is matched against a tabled entry.
 MATCH_RULES = """
 match_members([], [], []).
 match_members([M|Ms], [T|Ls], Rs) :-
-    lexical_dependent(T, M),
+    tabled_dependent(T, M),
     match_members(Ms, Ls, Rs).
 match_members([M|Ms], Ls, [T|Rs]) :-
-    lexical_entry(T, nonfinite, M),
+    tabled_entry(T, nonfinite, M),
     match_members(Ms, Ls, Rs).
 
 lexical_dependent(T, M) :- noun_entry(T, M).
@@ -118,11 +133,16 @@ class Parser:
         left = tokens[:h]
         right = tokens[h + 1:]
         engine = Engine(self.program, max_depth=self.max_depth, trace=self.trace)
+        self._table(engine, "tabled_entry", "lexical_entry", word, "finite")
+        for t in left:
+            self._table(engine, "tabled_dependent", "lexical_dependent", t)
+        for t in right:
+            self._table(engine, "tabled_entry", "lexical_entry", t, "nonfinite")
         store = engine.store
         skeleton = [store.new_var(f"M{i + 1}") for i in range(len(tokens) - 1)]
         sign = Avm(self.program.sorts.get("sign"),
                    {"sc": make_list(skeleton), "slash": NIL})
-        entry_goal = Struct("lexical_entry",
+        entry_goal = Struct("tabled_entry",
                             (Atom(word), Atom("finite"), sign))
         match_goal = Struct("match_members",
                             (make_list(list(reversed(skeleton))),
@@ -148,6 +168,15 @@ class Parser:
                 f"step limit {self.max_depth} hit while parsing "
                 f"(head {tokens[h]!r})")
         return out
+
+    def _table(self, engine: Engine, name: str, pred: str, *args: str) -> None:
+        """Table `pred(Args..., Entry)` as clauses of `name`, unless the
+        Program holds them already."""
+        goal = Struct(pred, tuple(Atom(a) for a in args) + (Var("Entry"),))
+        if not engine.table(name, goal):
+            raise LimitExceededError(
+                f"step limit {self.max_depth} hit while parsing "
+                f"(entry of {args[0]!r})")
 
     def _extract(self, sign, tokens: list[str], h: int,
                  left: list[str], right: list[str]) -> Derivation:

@@ -15,12 +15,16 @@ without being applied.
 
 Control flow is one loop over a WAM-style choicepoint stack: the
 resolvent is a linked chain of `(goal, rest)` pairs, and each call
-pushes (trail mark, goal, rest, clauses left), so a deep search uses no
-interpreter stack.  Each solution is a `yield` at an empty resolvent,
-with bindings live in the store until the consumer advances.  `solve`
+pushes (trail mark, goal, rest, candidate clauses, next index), so a
+deep search uses no interpreter stack.  Taking a call's last candidate
+pops its choicepoint, so a deterministic recursion keeps none.  Each
+solution is a `yield` at an empty resolvent, with bindings live in the
+store until the consumer advances.  `solve`
 wraps this with snapshotting and cleanup.  Exceeding the step budget
 ends the enumeration with a `Truncated` marker so callers can tell a
-cut-off search from an exhausted one.
+cut-off search from an exhausted one.  The budget counts every step of
+one `solve`, or of one `prove_live` enumeration together with those
+nested in it, across all of its answers.
 
 A clause is tried without renaming it first: `terms.match` unifies the
 goal with the clause head as read, using a fresh memo as the clause's
@@ -95,6 +99,9 @@ class Program:
         self._loaded: set[str] = set()
         # candidates per (predicate, first-argument key), in clause order
         self._filtered: dict[tuple, list[Clause]] = {}
+        # goals tabled by `Engine.table`, each with the predicate that holds
+        # its answers as template clauses
+        self._tabled: dict[tuple, tuple[str, int]] = {}
 
     def load(self, text: str, path: str | None = None) -> None:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -102,6 +109,9 @@ class Program:
             return
         self._loaded.add(digest)
         self._filtered.clear()
+        for pred in set(self._tabled.values()):  # answers may rest on any clause
+            self._clauses[pred] = []
+        self._tabled.clear()
         for item in parse_source(text, self.sorts, path):
             kind = item[0]
             if kind == "sort":
@@ -128,6 +138,18 @@ class Program:
         """Register a predicate with no clauses yet, so calling it fails
         instead of raising."""
         self._clauses.setdefault((name, arity), [])
+
+    def tabled(self, key: tuple) -> bool:
+        return key in self._tabled
+
+    def add_table(self, key: tuple, pred: tuple[str, int],
+                  clauses: list[Clause]) -> None:
+        """Record the answers to the tabled goal `key` as `clauses` of the
+        predicate `pred`."""
+        self._clauses.setdefault(pred, []).extend(clauses)
+        if clauses:  # a filter cached for their first argument is stale
+            self._filtered.pop((pred, clauses[0].index_key), None)
+        self._tabled[key] = pred
 
     def defines(self, name: str, arity: int) -> bool:
         return (name, arity) in self._clauses
@@ -235,7 +257,6 @@ class Engine:
                 yield None
                 if self._truncated:     # a nested enumeration was cut off
                     return
-                self._steps = 0  # fresh budget per answer
             else:
                 goal, rest = rest
                 goal = store.deref(goal)
@@ -254,15 +275,15 @@ class Engine:
                     return
                 if store.trace:
                     store.trace(("call", goal), store)
-                choices.append((store.mark(), goal, rest,
-                                iter(self.program.candidates(key, store, args))))
+                clauses = self.program.candidates(key, store, args)
+                if clauses:
+                    choices.append((store.mark(), goal, rest, clauses, 0))
             while choices:              # backtrack into the newest clause left
-                m, goal, rest, clauses = choices[-1]
+                m, goal, rest, clauses, i = choices.pop()
                 store.undo_to(m)
-                clause = next(clauses, None)
-                if clause is None:
-                    choices.pop()
-                    continue
+                if i + 1 < len(clauses):  # the last clause leaves no choicepoint
+                    choices.append((m, goal, rest, clauses, i + 1))
+                clause = clauses[i]
                 memo: dict = {}
                 if match(store, goal, clause.head, memo):
                     body = [copy_term(store, g, memo) for g in clause.body]
@@ -299,6 +320,27 @@ class Engine:
             store.undo_to(m0)
         if self._truncated:
             yield Truncated(self._total_steps)
+
+    def table(self, name: str, goal: Struct) -> bool:
+        """Solve `goal`, whose last argument is an unbound variable and
+        whose other arguments are atoms, once per Program.  Each answer is
+        kept as a template clause `name(Args..., Answer) :- Residue`, with
+        the answer and the goals it left suspended resolved together, so
+        they share variables.  A call of `name` with the same leading
+        arguments then matches an answer in place instead of deriving it
+        again, and runs its residue as the clause body.  Returns False,
+        adding nothing, if the step budget cut the solve off."""
+        key = (name,) + goal.args[:-1]
+        if self.program.tabled(key):
+            return True
+        clauses = []
+        for sol in self.solve([goal], var_names={"answer": goal.args[-1]}):
+            if isinstance(sol, Truncated):
+                return False
+            head = Struct(name, goal.args[:-1] + (sol.bindings["answer"],))
+            clauses.append(Clause(head, tuple(sol.residue), f"<table {name}>"))
+        self.program.add_table(key, (name, len(goal.args)), clauses)
+        return True
 
     def prove_live(self, goals: list, reset: bool = True):
         """Low-level enumeration: yields None per answer with bindings

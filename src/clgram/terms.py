@@ -440,8 +440,11 @@ def match(store: Store, goal, head, memo: dict) -> bool:
     store, head, memo))`, but only the parts the goal has no node for are
     built.  `memo` is `copy_term`'s memo and doubles as the clause's
     variable table, so copying the clause body with it afterwards shares
-    what the head bound.  Clause terms are never bound; as read they share
-    nothing but variables.  On failure the caller undoes to its mark.
+    what the head bound.  Clause terms are never bound, but they may share
+    a record or list node as well as variables (a tabled answer does), so
+    every clause node met is memoised with the goal term it met, and a
+    node met again unifies with that term.  On failure the caller undoes
+    to its mark.
 
     A clause variable at its first occurrence just stands for the goal
     term it meets: its copy would be a fresh variable, which cannot occur
@@ -450,18 +453,20 @@ def match(store: Store, goal, head, memo: dict) -> bool:
     the WAM's first-occurrence `get_variable`).  Later occurrences unify
     with the full check."""
     while True:  # along list tails
+        key = id(head)
+        if key in memo:
+            return _unify(store, goal, memo[key])
         if isinstance(head, Var):
-            key = id(head)
-            if key in memo:
-                return _unify(store, goal, memo[key])
             memo[key] = goal
             return True
         goal = store.deref(goal)
         if isinstance(goal, Var):
             return _bind_var(store, goal, copy_term(store, head, memo))
         if isinstance(head, ListCons):
-            if not (isinstance(goal, ListCons)
-                    and match(store, goal.head, head.head, memo)):
+            if not isinstance(goal, ListCons):
+                return False
+            memo[key] = goal
+            if not match(store, goal.head, head.head, memo):
                 return False
             goal, head = goal.tail, head.tail
             continue
@@ -471,6 +476,7 @@ def match(store: Store, goal, head, memo: dict) -> bool:
             if not (isinstance(goal, Struct) and goal.name == head.name
                     and len(goal.args) == len(head.args)):
                 return False
+            memo[key] = goal
             for x, y in zip(goal.args, head.args):
                 if not match(store, x, y, memo):
                     return False
@@ -484,13 +490,14 @@ def _match_avm(store: Store, goal: Avm, head: Avm, memo: dict) -> bool:
     """Merge the clause record `head` into the goal record, feature by
     feature in the clause's order, as `_merge_avms(goal, copy)` would.
     The copy would be fresh, so it can reach the goal record only through
-    a clause variable the memo already holds: that is the one occurs test
-    left to make."""
+    a clause node the memo already holds: that is the one occurs test left
+    to make."""
     meet = store.sorts.meet(goal.sort, head.sort)
     if meet is None:
         return False
     if store.occurs_check and _reaches(store, goal, head, memo, set()):
         return False
+    memo[id(head)] = goal
     if goal.sort is not meet:
         store._set_sort(goal, meet)
     for f, v in head.feats.items():
@@ -506,13 +513,13 @@ def _match_avm(store: Store, goal: Avm, head: Avm, memo: dict) -> bool:
 
 def _reaches(store: Store, target, t, memo: dict, seen: set) -> bool:
     """Does `target` occur in what the clause term `t` stands for under
-    `memo`?  Only the variables the memo holds lead out of the clause."""
-    while isinstance(t, ListCons):
+    `memo`?  Only the nodes the memo holds lead out of the clause."""
+    while isinstance(t, ListCons) and id(t) not in memo:
         if _reaches(store, target, t.head, memo, seen):
             return True
         t = t.tail
-    if isinstance(t, Var):
-        return id(t) in memo and _occurs(store, target, memo[id(t)], seen)
+    if id(t) in memo:
+        return _occurs(store, target, memo[id(t)], seen)
     if isinstance(t, Struct):
         return any(_reaches(store, target, a, memo, seen) for a in t.args)
     if isinstance(t, Avm):

@@ -1,5 +1,7 @@
 """End-to-end parsing: judgments, ambiguity, scope, cluster structure."""
 
+import hashlib
+import time
 from collections import Counter
 
 import pytest
@@ -7,8 +9,8 @@ import pytest
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
 from clgram import (ListCons, LimitExceededError, NoFiniteVerbError, Parser,
-                    UnknownTokensError, cluster_expand, corpus_source,
-                    load_corpus)
+                    UnknownTokensError, build_program, cluster_expand,
+                    corpus_source, load_corpus)
 
 CORPUS = load_corpus(corpus_source())
 
@@ -249,3 +251,78 @@ class TestResourceBounds:
         tiny = Parser(program, lexicon, max_depth=3)
         with pytest.raises(LimitExceededError):
             tiny.parse("dat arie bob kust")
+
+    def test_step_budget_bounds_a_whole_attempt(self, program, lexicon):
+        # about 20k steps over 966 derivations, but no one answer takes
+        # 5,000: the budget must count the attempt, not each answer
+        bounded = Parser(program, lexicon, max_depth=5000)
+        t0 = time.monotonic()
+        with pytest.raises(LimitExceededError):
+            bounded.parse("dat arie bob vandaag toevallig blijkbaar op tijd "
+                          "met een verrekijker wil kunnen kussen")
+        assert time.monotonic() - t0 < 10.0
+
+
+def derivation_rows(result) -> list[tuple]:
+    return [(d.head_index, d.reading_text,
+             [(m["dir"], m["lex"], m["token_index"]) for m in d.members],
+             d.cluster) for d in result.derivations]
+
+
+# sha256 over the corpus derivations in order, taken before word entries
+# were tabled
+CORPUS_DIGEST = {
+    False: "37f85317a88b8eadfed1f42c53674ffbbc5aebf7790fef36b77ddb2211441359",
+    True: "3a1908f21894e6881d82db25a91921ae66733439183dbcd43ea04b41db2f8b0a",
+}
+
+
+class TestEntryTable:
+    """Each word's entry is derived once per Program and matched from the
+    table after that; no derivation may change or move."""
+
+    @pytest.mark.parametrize("slash", [False, True], ids=["slash_off", "slash_on"])
+    def test_corpus_derivations_pinned(self, slash):
+        parser = Parser(*build_program(enable_slash=slash))
+        digest = hashlib.sha256()
+        for sentence, _ in CORPUS:
+            for d in parser.parse(sentence).derivations:
+                digest.update(repr((d.head_index, d.reading_text,
+                                    [m["token_index"] for m in d.members],
+                                    d.cluster)).encode())
+        assert digest.hexdigest() == CORPUS_DIGEST[slash]
+
+    def test_entry_derived_only_on_first_sight(self):
+        calls = []
+
+        def trace(event, store):
+            if event[0] == "call":
+                calls.append(event[1].name)
+        parser = Parser(*build_program(), trace=trace)
+        first = parser.parse("dat arie bob vandaag wil kussen")
+        derived = calls.count("lexical_entry")
+        calls.clear()
+        again = parser.parse("dat arie bob vandaag wil kussen")
+        assert derived == 2       # finite wil, nonfinite kussen
+        assert calls.count("lexical_entry") == 0
+        assert derivation_rows(again) == derivation_rows(first)
+
+    def test_loading_clauses_drops_the_table(self):
+        sentences = ["dat arie wil slaan", "dat arie bob kust",
+                     "dat arie bob vandaag wil kussen"]
+        program, lexicon = build_program()
+        parser = Parser(program, lexicon)
+        before = [derivation_rows(parser.parse(s)) for s in sentences]
+        program.load("slash_extraction(on).\n", "<slash>")
+        after = [derivation_rows(parser.parse(s)) for s in sentences]
+        fresh = Parser(*build_program(enable_slash=True))
+        assert after == [derivation_rows(fresh.parse(s)) for s in sentences]
+        assert after != before
+
+    def test_parsers_share_one_table(self, program, lexicon):
+        sentence = "dat arie bob vandaag toevallig wil kussen"
+        for prog, lex in ((program, lexicon), build_program()):
+            first = Parser(prog, lex).parse(sentence)
+            second = Parser(prog, lex).parse(sentence)
+            assert len(second.derivations) == AMBIGUITY[sentence][0]
+            assert derivation_rows(second) == derivation_rows(first)

@@ -137,19 +137,45 @@ def generalised(spec):
     return st.one_of(st.tuples(st.just("var"), VARS), same)
 
 
+def goal_part(spec):
+    return st.one_of(st.just(spec), generalised(spec))
+
+
+# A record or list that the head holds at two positions, as a tabled
+# answer can, with the two goal terms that meet it there.
+shared_nodes = st.one_of(
+    st.builds(lambda item: ("list", (item,), None), specs),
+    st.builds(lambda sort, value: ("avm", sort, (("f", value),)), SORTS, specs),
+).flatmap(lambda s: st.tuples(st.just(s), goal_part(s), goal_part(s)))
+
+
+def build_pair(store, goal_spec, head_spec, shared):
+    goal_env, head_env = {}, {}
+    goal = build(store, goal_spec, goal_env)
+    head = build(store, head_spec, head_env)
+    if shared is None:
+        return goal, head
+    node_spec, first, second = shared
+    node = build(store, node_spec, head_env)
+    return (Struct("w", (goal, build(store, first, goal_env),
+                         build(store, second, goal_env))),
+            Struct("w", (head, node, node)))
+
+
 @settings(max_examples=300, **SETTINGS)
 @given(specs.flatmap(lambda s: st.one_of(
     st.tuples(st.just(s), specs),
     st.tuples(st.just(s), generalised(s)),
-    st.tuples(generalised(s), st.just(s)))))
-def test_match_is_unify_with_a_copy(pair):
+    st.tuples(generalised(s), st.just(s)))),
+    st.one_of(st.none(), shared_nodes))
+def test_match_is_unify_with_a_copy(pair, shared):
     # the head is a clause term as read: built apart, never bound
     goal_spec, head_spec = pair
     store = Store(sort_table())
-    goal, head = build(store, goal_spec, {}), build(store, head_spec, {})
+    goal, head = build_pair(store, goal_spec, head_spec, shared)
     matched = match(store, goal, head, {})
     ref = Store(sort_table())
-    ref_goal, ref_head = build(ref, goal_spec, {}), build(ref, head_spec, {})
+    ref_goal, ref_head = build_pair(ref, goal_spec, head_spec, shared)
     assert matched == unify(ref, ref_goal, copy_term(ref, ref_head))
     if matched:
         assert canonical_text(snap(store, goal)) == canonical_text(snap(ref, ref_goal))

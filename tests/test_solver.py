@@ -8,11 +8,12 @@ import textwrap
 import pytest
 
 import clgram
-from clgram import (Atom, Engine, Program, Solution, Struct, Truncated,
-                    UndefinedPredicateError, Var, canonical, canonical_text,
-                    make_list, unify)
+from clgram import (Atom, Avm, Engine, Program, Solution, SortTable, Store,
+                    Struct, Truncated, UndefinedPredicateError, Var, canonical,
+                    canonical_text, make_list, resolve, unify)
 from clgram.fragment import fragment_source
 from clgram.reader import parse_goals
+from clgram.terms import match
 
 
 def run(engine, text, max_solutions=None):
@@ -125,15 +126,25 @@ class TestTruncation:
         assert out == []
         assert not eng.truncated
 
-    def test_budget_is_per_answer(self):
-        # 60 facts still enumerate fully under max_depth 50: the step
-        # count resets at each answer rather than accumulating
+    def test_clause_tries_cost_no_steps(self):
+        # 60 facts enumerate fully under max_depth 50: a step is a call,
+        # and trying another clause for the same call costs none
         prog = Program()
         prog.load("".join(f"q(a{i}).\n" for i in range(60)))
         eng = Engine(prog, max_depth=50)
         out = run(eng, "q(X).")
         assert len(out) == 60
         assert all(isinstance(o, Solution) for o in out)
+
+    def test_budget_spans_all_answers(self):
+        # one call for q, then one per answer: the budget of 50 steps ends
+        # the enumeration after 49 answers instead of restarting at each
+        prog = Program()
+        prog.load("".join(f"q(a{i}) :- t.\n" for i in range(60)) + "t.\n")
+        eng = Engine(prog, max_depth=50)
+        out = run(eng, "q(X).")
+        assert isinstance(out[-1], Truncated)
+        assert sum(isinstance(o, Solution) for o in out) == 49
 
 
 class TestEnumeration:
@@ -209,6 +220,33 @@ class TestHeadMatch:
         prog = Program()
         prog.load("sort sign < top.\neq(A, A).\np(X, @sign{f: X}).\n")
         assert run(Engine(prog), "eq(A, @sign{}), p(A, A).") == []
+
+    def test_shared_clause_record_unifies_its_goal_records(self):
+        # a tabled answer can hold one record object in two places, as in
+        # p(R, R); the goal records it meets must then become one record
+        sorts = SortTable()
+        sign = sorts.declare("sign", "top")
+        record = Avm(sign, {"f": Var("X")})
+        head = Struct("p", (record, record))
+        store = Store(sorts)
+        a, b = Avm(sign, {"f": Atom("a")}), Avm(sign, {"g": Atom("b")})
+        assert match(store, Struct("p", (a, b)), head, {})
+        assert store.deref(a) is store.deref(b)
+        assert canonical_text(canonical(resolve(store, a))) == \
+            "sign{f: a, g: b}"
+        clash = Struct("p", (Avm(sign, {"f": Atom("a")}),
+                             Avm(sign, {"f": Atom("b")})))
+        assert not match(store, clash, head, {})
+
+    def test_shared_clause_record_cannot_reach_goal_record(self):
+        # in h(N, @sign{g: N}) against h(A, A), N stands for A by the time
+        # the second record meets A, which would then hold itself
+        sorts = SortTable()
+        sign = sorts.declare("sign", "top")
+        node = Avm(sign)
+        head = Struct("h", (node, Avm(sign, {"g": node})))
+        a = Avm(sign)
+        assert not match(Store(sorts), Struct("h", (a, a)), head, {})
 
     def test_occurs_check_is_linear_in_list_length(self, program, monkeypatch):
         calls = 0
