@@ -42,6 +42,18 @@ def _env_flag(name: str) -> bool:
     return str(_env(name, "")).lower() in _TRUE_STRINGS
 
 
+def _bound(text: str) -> int:
+    """A --max-* value, from the flag or its environment default: a
+    non-negative integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grammar", default=_env("GRAMMAR"),
                    help="grammar source file (default: packaged fragment)")
@@ -54,10 +66,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--enable-slash", action="store_true",
                    default=_env_flag("ENABLE_SLASH"),
                    help="also build entries with an extracted argument")
-    p.add_argument("--max-depth", type=int,
+    p.add_argument("--max-depth", type=_bound,
                    default=_env("MAX_DEPTH", "200000"),
                    help="step budget per parse attempt or --goal query")
-    p.add_argument("--max-sc-length", type=int,
+    p.add_argument("--max-sc-length", type=_bound,
                    default=_env("MAX_SC_LENGTH", "10"),
                    help="longest subcat list accepted; longer sentences "
                         "are ungrammatical")

@@ -26,11 +26,13 @@ cut-off search from an exhausted one.  The budget counts every step of
 one `solve`, or of one `prove_live` enumeration together with those
 nested in it, across all of its answers.
 
-A clause is tried without renaming it first: `terms.match` unifies the
-goal with the clause head as read, using a fresh memo as the clause's
-variable table, so a head that fails builds next to nothing.  Only once
-the head has unified is the body copied, with the same memo, so the
-body's variables are the goal terms the head bound them to.
+A clause is tried without renaming it first.  On its first try it is
+compiled (`terms.compile_clause`) into a matcher per head argument and a
+builder per body goal, kept on the clause; loading a program compiles
+nothing.  The matchers unify the goal with the head as read, filling a
+fresh list of registers, so a head that fails builds next to nothing.
+Only once the head has unified are the body goals built, from the same
+registers, so the body's variables are the goal terms the head met.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from dataclasses import dataclass
 from .errors import UndefinedPredicateError
 from .reader import parse_source
 from .terms import (Atom, Avm, ListCons, SortTable, Store, Struct, Var, _Nil,
-                    copy_term, match, resolve)
-# no longer called here, but `bench/tracer.py` wraps `clgram.solver.unify`
-from .terms import unify  # noqa: F401
+                    compile_clause, resolve)
+# no longer called here, but `bench/tracer.py` wraps these by name
+from .terms import copy_term, unify  # noqa: F401
 
 
 @dataclass
@@ -55,15 +57,34 @@ class BlockSpec:
 
 
 class Clause:
-    __slots__ = ("head", "body", "pos", "index_key")
+    """A clause as read.  `code` is its `terms.compile_clause` code, made
+    when the engine first tries the clause."""
+
+    __slots__ = ("head", "body", "pos", "index_key", "code")
 
     def __init__(self, head, body: tuple, pos):
         self.head = head
         self.body = body
         self.pos = pos
         self.index_key = None
-        if isinstance(head, Struct) and head.args:
+        self.code = None
+        if type(head) is Struct and head.args:
             self.index_key = _index_key(head.args[0])
+
+    def try_goal(self, store: Store, goal) -> list | None:
+        """Match `goal` against the head and return the body built for it,
+        or None if the head does not match; the caller undoes to its mark
+        either way.  The clause's code is made on its first try."""
+        code = self.code
+        if code is None:
+            code = self.code = compile_clause(self.head, self.body)
+        matchers, builders, size = code
+        regs = [None] * size
+        args = goal.args if type(goal) is Struct else ()
+        for i, match in matchers:
+            if not match(store, args[i], regs):
+                return None
+        return [build(regs) for build in builders]
 
     def __repr__(self):
         name = self.head.name
@@ -73,17 +94,16 @@ class Clause:
 
 def _index_key(t):
     """First-argument index key; None means `matches anything`."""
-    if isinstance(t, Var):
-        return None
-    if isinstance(t, Atom):
+    tp = type(t)
+    if tp is Atom:
         return ("atom", t.name)
-    if isinstance(t, _Nil):
+    if tp is _Nil:
         return ("nil",)
-    if isinstance(t, ListCons):
+    if tp is ListCons:
         return ("cons",)
-    if isinstance(t, Struct):
+    if tp is Struct:
         return ("struct", t.name, len(t.args))
-    if isinstance(t, Avm):
+    if tp is Avm:
         # sorts can still meet across declarations, so stay coarse
         return ("avm",)
     return None
@@ -200,11 +220,12 @@ class Engine:
     # -- blocking
 
     def _goal_key(self, goal) -> tuple[str, int]:
-        if isinstance(goal, Atom):
-            return (goal.name, 0)
-        if isinstance(goal, Struct):
+        tp = type(goal)
+        if tp is Struct:
             return (goal.name, len(goal.args))
-        if isinstance(goal, Var):
+        if tp is Atom:
+            return (goal.name, 0)
+        if tp is Var:
             raise UndefinedPredicateError("unbound variable called as a goal")
         raise UndefinedPredicateError(f"cannot call {goal!r} as a goal")
 
@@ -222,7 +243,7 @@ class Engine:
             for is_dash, arg in zip(mask, args):
                 if is_dash:
                     a = deref(arg)
-                    if not isinstance(a, Var):
+                    if type(a) is not Var:
                         break
                     vs.append(a)
             else:
@@ -261,7 +282,7 @@ class Engine:
                 goal, rest = rest
                 goal = store.deref(goal)
                 key = self._goal_key(goal)
-                args = goal.args if isinstance(goal, Struct) else ()
+                args = goal.args if type(goal) is Struct else ()
                 watched = self._blocking_vars(key, args)
                 if watched is not None:
                     store.suspend_goal(goal, watched)
@@ -283,10 +304,8 @@ class Engine:
                 store.undo_to(m)
                 if i + 1 < len(clauses):  # the last clause leaves no choicepoint
                     choices.append((m, goal, rest, clauses, i + 1))
-                clause = clauses[i]
-                memo: dict = {}
-                if match(store, goal, clause.head, memo):
-                    body = [copy_term(store, g, memo) for g in clause.body]
+                body = clauses[i].try_goal(store, goal)
+                if body is not None:
                     for g in reversed(body):
                         rest = (g, rest)
                     break

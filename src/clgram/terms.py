@@ -15,9 +15,13 @@ grammar relies on for its scope distinctions.  Since a binding lives on
 the term, a term belongs to one live store at a time; every Engine and
 parser attempt builds its own terms and undoes to its mark when done.
 
-The solver tries a clause with `match`, which unifies a goal with the
-clause head as read and builds only what the goal lacks; a clause
-variable at its first occurrence needs no occurs check there.
+The occurs check is always on.  It runs in full where two goal terms
+unify.  A clause is tried through code `compile_clause` makes on its
+first try, WAM-style: one matcher per head argument and one builder per
+body goal, over a list of registers that hold the clause's variables and
+the nodes it holds twice.  The matchers unify the goal with the head as
+read and build only what the goal lacks.  Since a built term is fresh
+except for registers filled before it, they check only those registers.
 
 The store also owns the suspension machinery used by the solver: goals
 blocked on unbound variables are parked here, and binding one of their
@@ -172,6 +176,20 @@ class Avm:
         return f"Avm({self.sort.name}, {sorted(self.feats)})"
 
 
+def deref(t):
+    """Follow variable bindings and record forwards to the term they end
+    at.  No term class is subclassed, so the walkers dispatch on exact
+    types."""
+    tp = type(t)
+    while tp is Var or tp is Avm:
+        nxt = t.ref
+        if nxt is None:
+            return t
+        t = nxt
+        tp = type(t)
+    return t
+
+
 def make_list(items, tail=NIL):
     out = tail
     for x in reversed(list(items)):
@@ -217,13 +235,12 @@ class Store:
     included, goes through a helper here so backtracking restores it.
     """
 
-    def __init__(self, sorts: SortTable | None = None, occurs_check: bool = True):
+    def __init__(self, sorts: SortTable | None = None):
         self.sorts = sorts if sorts is not None else SortTable()
         self.suspensions: dict[Var, list[Suspension]] = {}
         self.trail: list[tuple] = []
         self.wake_list: list[Suspension] = []
         self.susp_log: list[Suspension] = []
-        self.occurs_check = occurs_check
         self.trace = None
         self._susp_seq = itertools.count(1)
 
@@ -258,15 +275,7 @@ class Store:
             else:  # pragma: no cover
                 raise AssertionError(f"bad trail tag {tag!r}")
 
-    # -- dereference
-
-    def deref(self, t):
-        while isinstance(t, Var) or isinstance(t, Avm):
-            nxt = t.ref
-            if nxt is None:
-                return t
-            t = nxt
-        return t
+    deref = staticmethod(deref)
 
     # -- mutation helpers (each one trails its own undo)
 
@@ -336,95 +345,89 @@ def unify(store: Store, a, b) -> bool:
     return False
 
 
-def _unify(store: Store, a, b, pairs: set | None = None) -> bool:
-    # without the occurs check terms may be cyclic: one set of visited
-    # (list cell or structure) pairs per top-level call, so a pair met
-    # again closes a loop whose other parts all unified
-    if pairs is None and not store.occurs_check:
-        pairs = set()
-    a = store.deref(a)
-    b = store.deref(b)
-    while isinstance(a, ListCons) and isinstance(b, ListCons) and a is not b:
-        if pairs is not None:
-            if (id(a), id(b)) in pairs:
-                return True
-            pairs.add((id(a), id(b)))
-        if not _unify(store, a.head, b.head, pairs):
+def _unify(store: Store, a, b) -> bool:
+    a = deref(a)
+    b = deref(b)
+    while type(a) is ListCons and type(b) is ListCons and a is not b:
+        if not _unify(store, a.head, b.head):
             return False
-        a = store.deref(a.tail)
-        b = store.deref(b.tail)
+        a = deref(a.tail)
+        b = deref(b.tail)
     if a is b:
         return True
-    if isinstance(a, Var):
+    ta = type(a)
+    if ta is Var:
         return _bind_var(store, a, b)
-    if isinstance(b, Var):
+    tb = type(b)
+    if tb is Var:
         return _bind_var(store, b, a)
-    if isinstance(a, Atom):
-        return isinstance(b, Atom) and a.name == b.name
-    if isinstance(a, _Nil):
-        return isinstance(b, _Nil)
-    if isinstance(a, Struct):
-        if not (isinstance(b, Struct) and a.name == b.name
-                and len(a.args) == len(b.args)):
+    if ta is not tb:
+        return False
+    if ta is Atom:
+        return a.name == b.name
+    if ta is Struct:
+        if a.name != b.name or len(a.args) != len(b.args):
             return False
-        if pairs is not None:
-            if (id(a), id(b)) in pairs:
-                return True
-            pairs.add((id(a), id(b)))
         for x, y in zip(a.args, b.args):
-            if not _unify(store, x, y, pairs):
+            if not _unify(store, x, y):
                 return False
         return True
-    if isinstance(a, Avm):
-        return isinstance(b, Avm) and _merge_avms(store, a, b, pairs)
-    return False
+    if ta is Avm:
+        return _merge_avms(store, a, b)
+    return False  # two list cells were walked above, and NIL is one object
 
 
 def _bind_var(store: Store, v: Var, t) -> bool:
-    if store.occurs_check and _occurs(store, v, t):
+    if _occurs(v, t):
         return False
     store._bind(v, t)
     return True
 
 
-def _occurs(store: Store, target, t, seen: set | None = None) -> bool:
+def _occurs(target, t, seen: set | None = None) -> bool:
     """Does `target` (an unbound variable or a record) occur in `t`?
     Guards binding and merging against building a term that contains
-    itself.  Records walked are kept in `seen`, so a cycle through
-    records ends the walk."""
-    t = store.deref(t)
-    while isinstance(t, ListCons):
-        if _occurs(store, target, t.head, seen):
+    itself.  Records walked are kept in `seen`, so a record shared by
+    several paths is walked once."""
+    t = deref(t)
+    while type(t) is ListCons:
+        if _occurs(target, t.head, seen):
             return True
-        t = store.deref(t.tail)
+        t = deref(t.tail)
     if t is target:
         return True
-    if isinstance(t, Struct):
-        return any(_occurs(store, target, a, seen) for a in t.args)
-    if isinstance(t, Avm):
+    tp = type(t)
+    if tp is Struct:
+        for a in t.args:
+            if _occurs(target, a, seen):
+                return True
+        return False
+    if tp is Avm:
         if seen is None:
             seen = set()
         if id(t) in seen:
             return False
         seen.add(id(t))
-        return any(_occurs(store, target, x, seen) for x in t.feats.values())
+        for x in t.feats.values():
+            if _occurs(target, x, seen):
+                return True
     return False
 
 
-def _merge_avms(store: Store, a: Avm, b: Avm, pairs: set | None) -> bool:
+def _merge_avms(store: Store, a: Avm, b: Avm) -> bool:
     meet = store.sorts.meet(a.sort, b.sort)
     if meet is None:
         return False
-    if store.occurs_check and (_occurs(store, b, a) or _occurs(store, a, b)):
+    if _occurs(b, a) or _occurs(a, b):
         return False
     store._set_ref(b, a)
     if a.sort is not meet:
         store._set_sort(a, meet)
     for f, v in list(b.feats.items()):
         # nested merges may forward the survivor itself; re-deref each time
-        t = store.deref(a)
+        t = deref(a)
         if f in t.feats:
-            if not _unify(store, t.feats[f], v, pairs):
+            if not _unify(store, t.feats[f], v):
                 return False
         else:
             store._add_feat(t, f, v)
@@ -432,99 +435,311 @@ def _merge_avms(store: Store, a: Avm, b: Avm, pairs: set | None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# matching a clause head in place
+# clause code
 
-def match(store: Store, goal, head, memo: dict) -> bool:
-    """Unify `goal` with the clause term `head` as read, without copying
-    `head` first: the result is that of `unify(store, goal, copy_term(
-    store, head, memo))`, but only the parts the goal has no node for are
-    built.  `memo` is `copy_term`'s memo and doubles as the clause's
-    variable table, so copying the clause body with it afterwards shares
-    what the head bound.  Clause terms are never bound, but they may share
-    a record or list node as well as variables (a tabled answer does), so
-    every clause node met is memoised with the goal term it met, and a
-    node met again unifies with that term.  On failure the caller undoes
-    to its mark.
+def compile_clause(head, body) -> tuple:
+    """Code for trying the clause `head :- body`: `(matchers, builders,
+    size)`.  `matchers` holds `(i, match)` for each head argument `i` that
+    not every goal term matches, and `match(store, goal_arg, regs)` unifies
+    the goal's argument with that clause argument as read, building only
+    what the goal lacks; `builders` holds one `build(regs)` per body goal.
+    `regs` is a fresh list of `size` registers per try.  On failure the
+    caller undoes to its mark.
 
-    A clause variable at its first occurrence just stands for the goal
-    term it meets: its copy would be a fresh variable, which cannot occur
-    in that term, so the occurs check has nothing to find (Apt and
-    Pellegrini, "On the occur-check-free Prolog programs", TOPLAS 1994;
-    the WAM's first-occurrence `get_variable`).  Later occurrences unify
-    with the full check."""
+    The clause is walked once, head then body, in the order the code runs,
+    so a node's first occurrence is known here.  A clause variable, and a
+    list cell, structure or record the clause holds twice (a tabled answer
+    can), gets a register: its first occurrence fills it with the goal term
+    it meets or with the term it built, and a later one unifies with it or
+    reads it.  A variable the clause holds once matches anything.  The
+    result is that of `unify(store, goal, copy_term(store, head, memo))`
+    followed by copying the body with the same memo, except that a clause
+    variable takes the goal term it first meets instead of binding it.
+
+    A copied clause term is fresh except for the registers filled before
+    it, so the occurs check has nothing else to look at: a goal variable
+    that takes a built term, and a goal record that a clause record merges
+    into, are checked only against those registers (Apt and Pellegrini,
+    "On the occur-check-free Prolog programs", TOPLAS 1994; the WAM's
+    first-occurrence `get_variable`).  An atom binds with no check."""
+    counts: dict[int, int] = {}
+    args = head.args if type(head) is Struct else ()
+    for t in (*args, *body):
+        _count_nodes(t, counts)
+    walk = _ClauseWalk(counts)
+    matchers = []
+    for i, a in enumerate(args):
+        match = walk.node(a, True)[0]
+        if match is not None:
+            matchers.append((i, match))
+    builders = tuple(walk.node(g, False)[1] for g in body)
+    return tuple(matchers), builders, len(walk.regs)
+
+
+def _count_nodes(t, counts: dict) -> None:
+    """Count the occurrences of each variable and compound node, walking
+    a node's parts at its first occurrence only."""
     while True:  # along list tails
-        key = id(head)
-        if key in memo:
-            return _unify(store, goal, memo[key])
-        if isinstance(head, Var):
-            memo[key] = goal
-            return True
-        goal = store.deref(goal)
-        if isinstance(goal, Var):
-            return _bind_var(store, goal, copy_term(store, head, memo))
-        if isinstance(head, ListCons):
-            if not isinstance(goal, ListCons):
-                return False
-            memo[key] = goal
-            if not match(store, goal.head, head.head, memo):
-                return False
-            goal, head = goal.tail, head.tail
+        tp = type(t)
+        if tp is Atom or tp is _Nil:
+            return
+        n = counts.get(id(t), 0)
+        counts[id(t)] = n + 1
+        if n or tp is Var:
+            return
+        if tp is ListCons:
+            _count_nodes(t.head, counts)
+            t = t.tail
             continue
-        if isinstance(head, Atom):
-            return isinstance(goal, Atom) and goal.name == head.name
-        if isinstance(head, Struct):
-            if not (isinstance(goal, Struct) and goal.name == head.name
-                    and len(goal.args) == len(head.args)):
-                return False
-            memo[key] = goal
-            for x, y in zip(goal.args, head.args):
-                if not match(store, x, y, memo):
-                    return False
-            return True
-        if isinstance(head, Avm):
-            return isinstance(goal, Avm) and _match_avm(store, goal, head, memo)
-        return goal is head  # NIL
+        for x in t.args if tp is Struct else t.feats.values():
+            _count_nodes(x, counts)
+        return
 
 
-def _match_avm(store: Store, goal: Avm, head: Avm, memo: dict) -> bool:
-    """Merge the clause record `head` into the goal record, feature by
-    feature in the clause's order, as `_merge_avms(goal, copy)` would.
-    The copy would be fresh, so it can reach the goal record only through
-    a clause node the memo already holds: that is the one occurs test left
-    to make."""
-    meet = store.sorts.meet(goal.sort, head.sort)
-    if meet is None:
-        return False
-    if store.occurs_check and _reaches(store, goal, head, memo, set()):
-        return False
-    memo[id(head)] = goal
-    if goal.sort is not meet:
-        store._set_sort(goal, meet)
-    for f, v in head.feats.items():
-        # nested merges may forward the goal record; re-deref each time
-        t = store.deref(goal)
-        if f in t.feats:
-            if not match(store, t.feats[f], v, memo):
-                return False
-        else:
-            store._add_feat(t, f, copy_term(store, v, memo))
+class _ClauseWalk:
+    """One preorder walk of a clause, making code for each node."""
+
+    def __init__(self, counts: dict):
+        self.counts = counts
+        self.regs: dict[int, int] = {}    # node id -> register
+        # one code per constant, as a long list literal repeats a few atoms
+        self.consts: dict[tuple, tuple] = {}
+
+    def node(self, t, head: bool) -> tuple:
+        """`(match, build, early)` for the clause term `t`, met at this
+        point of the walk.  `match` is None where any goal term matches, or
+        when `head` is false.  `early` lists the registers filled before
+        `t` that `t` holds: the only goal terms a copy of `t` contains."""
+        tp = type(t)
+        if tp is Atom or tp is _Nil:
+            key = (tp, getattr(t, "name", None))
+            code = self.consts.get(key)
+            if code is None:
+                code = self.consts[key] = _const_code(t)
+            return code
+        r = self.regs.get(id(t))
+        if r is not None:
+            return _later_code(r)
+        base = len(self.regs)
+        if self.counts[id(t)] > 1:
+            r = self.regs[id(t)] = base
+        if tp is Var:
+            return _var_code(t.name, r)
+        if tp is ListCons:
+            return self.spine(t, r, head, base)
+        parts = [self.node(x, head)
+                 for x in (t.args if tp is Struct else t.feats.values())]
+        early = []
+        for part in parts:
+            for e in part[2]:
+                if e < base and e not in early:
+                    early.append(e)
+        if tp is Struct:
+            return _struct_code(t.name, r, parts, tuple(early), head)
+        return _avm_code(t.sort, tuple(t.feats), r, parts, tuple(early), head)
+
+    def spine(self, t, r, head: bool, base: int) -> tuple:
+        """Code for the list cells from `t` up to a tail that is not a cell
+        or was met before, looping along the spine."""
+        cell_regs, matchers, builders = [], [], []
+        last: dict[int, int] = {}  # early register -> last cell holding it
+        while True:
+            match, build, early = self.node(t.head, head)
+            for e in early:
+                last[e] = len(cell_regs)
+            cell_regs.append(r)
+            matchers.append(match)
+            builders.append(build)
+            t = t.tail
+            if type(t) is not ListCons or id(t) in self.regs:
+                break
+            r = None
+            if self.counts[id(t)] > 1:
+                r = self.regs[id(t)] = len(self.regs)
+        tail = self.node(t, head)
+        for e in tail[2]:
+            last[e] = len(cell_regs)
+        return _list_code(tuple(cell_regs), tuple(matchers), tuple(builders),
+                          tail, tuple(last.items()),
+                          tuple(e for e in last if e < base), head)
+
+
+def _checked(v: Var, early: tuple, regs: list) -> bool:
+    """May the goal variable `v` take a copied clause term holding the
+    registers `early`?"""
+    for e in early:
+        if _occurs(v, regs[e]):
+            return False
     return True
 
 
-def _reaches(store: Store, target, t, memo: dict, seen: set) -> bool:
-    """Does `target` occur in what the clause term `t` stands for under
-    `memo`?  Only the nodes the memo holds lead out of the clause."""
-    while isinstance(t, ListCons) and id(t) not in memo:
-        if _reaches(store, target, t.head, memo, seen):
+def _const_code(c) -> tuple:
+    if type(c) is Atom:
+        name = c.name
+
+        def match(store, g, regs):
+            g = deref(g)
+            tp = type(g)
+            if tp is Atom:
+                return g.name == name
+            if tp is Var:
+                store._bind(g, c)
+                return True
+            return False
+    else:
+        def match(store, g, regs):
+            g = deref(g)
+            if g is c:
+                return True
+            if type(g) is Var:
+                store._bind(g, c)
+                return True
+            return False
+    return match, lambda regs: c, ()
+
+
+def _later_code(r: int) -> tuple:
+    def match(store, g, regs):
+        return _unify(store, g, regs[r])
+    return match, lambda regs: regs[r], (r,)
+
+
+def _var_code(name, r) -> tuple:
+    if r is None:
+        return None, lambda regs: Var(name), ()
+
+    def match(store, g, regs):
+        regs[r] = g
+        return True
+
+    def build(regs):
+        v = regs[r] = Var(name)
+        return v
+    return match, build, ()
+
+
+def _struct_code(name: str, r, parts: list, early: tuple, head: bool) -> tuple:
+    builders = tuple(p[1] for p in parts)
+
+    def build(regs):
+        node = Struct(name, [b(regs) for b in builders])
+        if r is not None:
+            regs[r] = node
+        return node
+    if not head:
+        return None, build, early
+    arity = len(parts)
+    matchers = tuple((i, p[0]) for i, p in enumerate(parts) if p[0] is not None)
+
+    def match(store, g, regs):
+        g = deref(g)
+        tp = type(g)
+        if tp is Struct:
+            if g.name != name or len(g.args) != arity:
+                return False
+            if r is not None:
+                regs[r] = g
+            args = g.args
+            for i, m in matchers:
+                if not m(store, args[i], regs):
+                    return False
             return True
-        t = t.tail
-    if id(t) in memo:
-        return _occurs(store, target, memo[id(t)], seen)
-    if isinstance(t, Struct):
-        return any(_reaches(store, target, a, memo, seen) for a in t.args)
-    if isinstance(t, Avm):
-        return any(_reaches(store, target, x, memo, seen) for x in t.feats.values())
-    return False
+        if tp is Var and _checked(g, early, regs):
+            store._bind(g, build(regs))
+            return True
+        return False
+    return match, build, early
+
+
+def _avm_code(sort: Sort, names: tuple, r, parts: list, early: tuple,
+              head: bool) -> tuple:
+    feats = tuple(zip(names, [p[1] for p in parts]))
+
+    def build(regs):
+        node = Avm(sort, {f: b(regs) for f, b in feats})
+        if r is not None:
+            regs[r] = node
+        return node
+    if not head:
+        return None, build, early
+    code = tuple((f, p[0], p[1]) for f, p in zip(names, parts))
+
+    def match(store, g, regs):
+        g = deref(g)
+        tp = type(g)
+        if tp is Avm:
+            meet = store.sorts.meet(g.sort, sort)
+            if meet is None or not _checked(g, early, regs):
+                return False
+            if r is not None:
+                regs[r] = g
+            if g.sort is not meet:
+                store._set_sort(g, meet)
+            for f, m, b in code:
+                # nested merges may forward the goal record; re-deref each time
+                t = deref(g)
+                if f in t.feats:
+                    if m is not None and not m(store, t.feats[f], regs):
+                        return False
+                else:
+                    store._add_feat(t, f, b(regs))
+            return True
+        if tp is Var and _checked(g, early, regs):
+            store._bind(g, build(regs))
+            return True
+        return False
+    return match, build, early
+
+
+def _list_code(cell_regs: tuple, matchers: tuple, builders: tuple, tail: tuple,
+               last: tuple, early: tuple, head: bool) -> tuple:
+    n = len(cell_regs)
+    tail_match, tail_build = tail[0], tail[1]
+
+    def build_from(regs, i):
+        first = prev = None
+        for j in range(i, n):
+            cell = ListCons(builders[j](regs), None)
+            if cell_regs[j] is not None:
+                regs[cell_regs[j]] = cell
+            if prev is None:
+                first = cell
+            else:
+                prev.tail = cell
+            prev = cell
+        prev.tail = tail_build(regs)
+        return first
+
+    def build(regs):
+        return build_from(regs, 0)
+    if not head:
+        return None, build, early
+
+    def match(store, g, regs):
+        i = 0
+        while i < n:
+            g = deref(g)
+            tp = type(g)
+            if tp is ListCons:
+                if cell_regs[i] is not None:
+                    regs[cell_regs[i]] = g
+                m = matchers[i]
+                if m is not None and not m(store, g.head, regs):
+                    return False
+                g = g.tail
+                i += 1
+            elif tp is Var:
+                # the copy from cell i holds the registers its cells reach
+                # and that were filled before it
+                for e, j in last:
+                    if j >= i and regs[e] is not None and _occurs(g, regs[e]):
+                        return False
+                store._bind(g, build_from(regs, i))
+                return True
+            else:
+                return False
+        return tail_match is None or tail_match(store, g, regs)
+    return match, build, early
 
 
 # ---------------------------------------------------------------------------
@@ -537,32 +752,33 @@ def copy_term(store: Store, t, memo: dict | None = None, counter=None):
     order."""
     if memo is None:
         memo = {}
-    t = store.deref(t)
-    if isinstance(t, (Atom, _Nil)):
+    t = deref(t)
+    tp = type(t)
+    if tp is Atom or tp is _Nil:
         return t
     key = id(t)
     if key in memo:
         return memo[key]
-    if isinstance(t, Var):
+    if tp is Var:
         v = memo[key] = Var(t.name)
         if counter is not None:
             v.id = next(counter)
         return v
-    if isinstance(t, ListCons):
+    if tp is ListCons:
         first = node = memo[key] = ListCons(None, None)
         while True:  # along the tail, copying cell by cell
             node.head = copy_term(store, t.head, memo, counter)
-            t = store.deref(t.tail)
-            if not isinstance(t, ListCons) or id(t) in memo:
+            t = deref(t.tail)
+            if type(t) is not ListCons or id(t) in memo:
                 node.tail = copy_term(store, t, memo, counter)
                 return first
             node.tail = memo[id(t)] = ListCons(None, None)
             node = node.tail
-    if isinstance(t, Struct):
+    if tp is Struct:
         node = memo[key] = Struct(t.name, ())
-        node.args = tuple(copy_term(store, a, memo, counter) for a in t.args)
+        node.args = tuple([copy_term(store, a, memo, counter) for a in t.args])
         return node
-    if isinstance(t, Avm):
+    if tp is Avm:
         node = memo[key] = Avm(t.sort)
         for f, v in t.feats.items():
             node.feats[f] = copy_term(store, v, memo, counter)

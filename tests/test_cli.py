@@ -206,6 +206,17 @@ class TestEnvFallbacks:
         assert exc.value.code == 2
         assert "invalid int value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["MAX_DEPTH", "MAX_SC_LENGTH"])
+    def test_negative_int_is_a_usage_error(self, capsys, monkeypatch, name):
+        flag = "--" + name.lower().replace("_", "-")
+        for env, args in ((None, [flag, "-1"]), ("-5", [])):
+            if env is not None:
+                monkeypatch.setenv(name, env)
+            with pytest.raises(SystemExit) as exc:
+                main(["parse", "dat arie wil slapen", *args])
+            assert exc.value.code == 2
+            assert "must not be negative" in capsys.readouterr().err
+
 
 def test_module_entry_point():
     proc = subprocess.run(

@@ -4,10 +4,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from clgram import (Atom, Avm, Engine, ListCons, NIL, Solution, SortTable,
-                    Store, Struct, canonical, copy_term, make_list, resolve,
-                    unify)
-from clgram.render import canonical_text
-from clgram.terms import match
+                    Store, Struct, Var, canonical, copy_term, make_list,
+                    resolve, unify)
+from clgram.solver import Clause
 
 SETTINGS = dict(derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -62,6 +61,26 @@ def build(store, spec, env):
 
 def snap(store, term):
     return canonical(resolve(store, term))
+
+
+def shape(t, labels: dict):
+    """Canonical form of a snapshot in which a record met again shows as
+    the number of its first visit, and variables are numbered in the same
+    sequence: list cells and structures are values, but a record's
+    identity is what later merges reach."""
+    if isinstance(t, (Var, Avm)):
+        if id(t) in labels:
+            return ("again", labels[id(t)])
+        labels[id(t)] = len(labels)
+        if isinstance(t, Var):
+            return ("var", labels[id(t)])
+        return ("avm", t.sort.name, tuple(sorted(
+            (f, shape(v, labels)) for f, v in t.feats.items())))
+    if isinstance(t, ListCons):
+        return ("cons", shape(t.head, labels), shape(t.tail, labels))
+    if isinstance(t, Struct):
+        return ("struct", t.name, tuple(shape(a, labels) for a in t.args))
+    return canonical(t)
 
 
 @settings(max_examples=150, **SETTINGS)
@@ -141,25 +160,29 @@ def goal_part(spec):
     return st.one_of(st.just(spec), generalised(spec))
 
 
-# A record or list that the head holds at two positions, as a tabled
-# answer can, with the two goal terms that meet it there.
+# A record, list or structure that the head holds at two positions, as a
+# tabled answer can, with the two goal terms that meet it there.
 shared_nodes = st.one_of(
     st.builds(lambda item: ("list", (item,), None), specs),
     st.builds(lambda sort, value: ("avm", sort, (("f", value),)), SORTS, specs),
+    st.builds(lambda name, arg: ("struct", name, (arg,)), ATOMS, specs),
 ).flatmap(lambda s: st.tuples(st.just(s), goal_part(s), goal_part(s)))
 
 
-def build_pair(store, goal_spec, head_spec, shared):
+def build_clause(store, goal_spec, head_spec, body_spec, shared):
+    """A goal and a clause `w(Head...) :- b(Body...)`; the body shares the
+    head's variables by name, and any shared node."""
     goal_env, head_env = {}, {}
     goal = build(store, goal_spec, goal_env)
     head = build(store, head_spec, head_env)
+    body = build(store, body_spec, head_env)
     if shared is None:
-        return goal, head
+        return Struct("w", (goal,)), Struct("w", (head,)), (Struct("b", (body,)),)
     node_spec, first, second = shared
     node = build(store, node_spec, head_env)
     return (Struct("w", (goal, build(store, first, goal_env),
                          build(store, second, goal_env))),
-            Struct("w", (head, node, node)))
+            Struct("w", (head, node, node)), (Struct("b", (body, node)),))
 
 
 @settings(max_examples=300, **SETTINGS)
@@ -167,18 +190,25 @@ def build_pair(store, goal_spec, head_spec, shared):
     st.tuples(st.just(s), specs),
     st.tuples(st.just(s), generalised(s)),
     st.tuples(generalised(s), st.just(s)))),
-    st.one_of(st.none(), shared_nodes))
-def test_match_is_unify_with_a_copy(pair, shared):
-    # the head is a clause term as read: built apart, never bound
+    specs, st.one_of(st.none(), shared_nodes))
+def test_match_is_unify_with_a_copy(pair, body_spec, shared):
+    # the clause is as read: built apart, never bound
     goal_spec, head_spec = pair
     store = Store(sort_table())
-    goal, head = build_pair(store, goal_spec, head_spec, shared)
-    matched = match(store, goal, head, {})
+    goal, head, body = build_clause(store, goal_spec, head_spec, body_spec, shared)
+    built = Clause(head, body, "<test>").try_goal(store, goal)
     ref = Store(sort_table())
-    ref_goal, ref_head = build_pair(ref, goal_spec, head_spec, shared)
-    assert matched == unify(ref, ref_goal, copy_term(ref, ref_head))
-    if matched:
-        assert canonical_text(snap(store, goal)) == canonical_text(snap(ref, ref_goal))
+    ref_goal, ref_head, ref_body = build_clause(ref, goal_spec, head_spec,
+                                                body_spec, shared)
+    memo: dict = {}
+    assert (built is not None) == unify(ref, ref_goal, copy_term(ref, ref_head, memo))
+    if built is not None:
+        # one snapshot of goal and body, so that the variables and records
+        # they share show
+        ref_built = [copy_term(ref, g, memo) for g in ref_body]
+        got = resolve(store, Struct("all", (goal, *built)))
+        want = resolve(ref, Struct("all", (ref_goal, *ref_built)))
+        assert shape(got, {}) == shape(want, {})
 
 
 def atoms_list(names):

@@ -13,7 +13,7 @@ from clgram import (Atom, Avm, Engine, Program, Solution, SortTable, Store,
                     canonical_text, make_list, resolve, unify)
 from clgram.fragment import fragment_source
 from clgram.reader import parse_goals
-from clgram.terms import match
+from clgram.solver import Clause
 
 
 def run(engine, text, max_solutions=None):
@@ -200,8 +200,9 @@ class TestIndexing:
 
 
 class TestHeadMatch:
-    """Clause heads are matched in place: the occurs check is left out only
-    at a clause variable's first occurrence."""
+    """Clause heads are matched in place by code made on the clause's first
+    try: the occurs check looks only at the goal terms the clause met
+    before."""
 
     def test_second_occurrence_is_checked(self):
         prog = Program()
@@ -228,15 +229,16 @@ class TestHeadMatch:
         sign = sorts.declare("sign", "top")
         record = Avm(sign, {"f": Var("X")})
         head = Struct("p", (record, record))
+        clause = Clause(head, (), "<test>")
         store = Store(sorts)
         a, b = Avm(sign, {"f": Atom("a")}), Avm(sign, {"g": Atom("b")})
-        assert match(store, Struct("p", (a, b)), head, {})
+        assert clause.try_goal(store, Struct("p", (a, b))) == []
         assert store.deref(a) is store.deref(b)
         assert canonical_text(canonical(resolve(store, a))) == \
             "sign{f: a, g: b}"
         clash = Struct("p", (Avm(sign, {"f": Atom("a")}),
                              Avm(sign, {"f": Atom("b")})))
-        assert not match(store, clash, head, {})
+        assert clause.try_goal(store, clash) is None
 
     def test_shared_clause_record_cannot_reach_goal_record(self):
         # in h(N, @sign{g: N}) against h(A, A), N stands for A by the time
@@ -246,7 +248,8 @@ class TestHeadMatch:
         node = Avm(sign)
         head = Struct("h", (node, Avm(sign, {"g": node})))
         a = Avm(sign)
-        assert not match(Store(sorts), Struct("h", (a, a)), head, {})
+        clause = Clause(head, (), "<test>")
+        assert clause.try_goal(Store(sorts), Struct("h", (a, a))) is None
 
     def test_occurs_check_is_linear_in_list_length(self, program, monkeypatch):
         calls = 0
@@ -264,6 +267,29 @@ class TestHeadMatch:
         out = list(Engine(program).solve(goals, var_names={"Y": y}))
         assert len(out) == 1 and isinstance(out[0], Solution)
         assert calls <= 4 * n
+
+    def test_code_is_made_on_first_try_only(self, monkeypatch):
+        made = []
+        real = clgram.solver.compile_clause
+
+        def counting(head, body):
+            made.append(head)
+            return real(head, body)
+        monkeypatch.setattr(clgram.solver, "compile_clause", counting)
+        prog = Program()
+        prog.load("count([], z).\ncount([_|T], s(N)) :- count(T, N).\n"
+                  "unused(a).\n")
+        assert made == []
+        x = Var("X")
+        goal = Struct("count", (make_list([Atom("a")] * 50), x))
+        sols = list(Engine(prog).solve([goal], var_names={"X": x}))
+        assert len(sols) == 1
+        assert canonical_text(canonical(sols[0].bindings["X"])).count("s(") == 50
+        assert len(made) == 2   # each count/2 clause once, unused/1 never
+        store = Store(prog.sorts)
+        assert all(c.code is not None
+                   for c in prog.candidates(("count", 2), store, ()))
+        assert prog.candidates(("unused", 1), store, ())[0].code is None
 
 
 class TestNaiveEquivalence:
@@ -323,7 +349,6 @@ class TestDepth:
                                 make_list, render)
             program, _ = build_program()
             engine = Engine(program, max_depth=200000)
-            engine.store.occurs_check = False
             x, y = Var("X"), Var("Y")
             goals = [Struct("concat", (x, make_list([Atom("b")]), y)),
                      Struct("eq", (x, make_list([Atom("a")] * 100000)))]
@@ -343,13 +368,34 @@ class TestDepth:
                                 build_program, make_list)
             program, _ = build_program()
             engine = Engine(program, max_depth=200000)
-            assert engine.store.occurs_check
             x, y = Var("X"), Var("Y")
             goals = [Struct("concat", (x, make_list([Atom("b")]), y)),
                      Struct("eq", (x, make_list([Atom("a")] * 100000)))]
             out = list(engine.solve(goals, var_names={"Y": y}))
             assert len(out) == 1 and isinstance(out[0], Solution), out
             assert not out[0].residue
+            print("ok")
+            """)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["ok"]
+
+    def test_long_list_fact(self):
+        # the clause's code is made and run along the list spine, both when
+        # the fact builds the list for an unbound goal and when it matches it
+        proc = run_python("""
+            from clgram import Engine, Program, Solution, Struct, Var
+            from clgram.reader import parse_goals
+            n = 100000
+            items = ", ".join("abc"[i % 3] for i in range(n))
+            prog = Program()
+            prog.load(f"big([{items}]).\\n")
+            x = Var("X")
+            out = list(Engine(prog).solve([Struct("big", (x,))],
+                                          var_names={"X": x}))
+            assert len(out) == 1 and isinstance(out[0], Solution), out
+            goals, _ = parse_goals(f"big([{items}]).", prog.sorts)
+            again = list(Engine(prog).solve(goals))
+            assert len(again) == 1 and isinstance(again[0], Solution), again
             print("ok")
             """)
         assert proc.returncode == 0, proc.stderr[-2000:]

@@ -5,7 +5,6 @@ import pytest
 from clgram import (Atom, Avm, ListCons, NIL, SortError, SortTable, Store,
                     Struct, Var, canonical, copy_term, list_to_python,
                     make_list, resolve, unify)
-from test_solver import run_python
 
 
 @pytest.fixture
@@ -150,45 +149,6 @@ class TestOccursCheck:
             assert unify(store, value, inner)
         outer = Avm(sorts.get("sign"), {"f": value})
         assert not unify(store, inner, outer)
-
-    def test_disabled_allows_rational_binding(self, sorts):
-        st = Store(sorts, occurs_check=False)
-        x = st.new_var()
-        assert unify(st, x, Struct("f", (x,)))
-
-    @pytest.mark.parametrize("x_heads, y_heads, expect", [
-        ("a", "a", True), ("a", "b", False), ("a", "aa", True)])
-    def test_disabled_cyclic_lists_terminate(self, x_heads, y_heads, expect):
-        # X = [a|X], Y = [a|Y], then X = Y: must end, not walk the tails forever
-        proc = run_python(f"""
-            from clgram import Atom, Store, make_list, unify
-            st = Store(occurs_check=False)
-            x, y = st.new_var("X"), st.new_var("Y")
-            assert unify(st, x, make_list([Atom(c) for c in {x_heads!r}], x))
-            assert unify(st, y, make_list([Atom(c) for c in {y_heads!r}], y))
-            print(unify(st, x, y))
-            """)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == [str(expect)]
-
-    @pytest.mark.parametrize("x_value, y_value, expect", [
-        ("Struct('f', (x,))", "Struct('f', (y,))", True),
-        ("make_list([x])", "make_list([y])", True),
-        ("Struct('f', (x,))", "Struct('g', (y,))", False)],
-        ids=["struct", "list_head", "clash"])
-    def test_disabled_cyclic_terms_terminate(self, x_value, y_value, expect):
-        # X = f(X), Y = f(Y), then X = Y: cyclic through an argument or a
-        # list head, so the recursion must end, not overflow
-        proc = run_python(f"""
-            from clgram import Store, Struct, make_list, unify
-            st = Store(occurs_check=False)
-            x, y = st.new_var("X"), st.new_var("Y")
-            assert unify(st, x, {x_value})
-            assert unify(st, y, {y_value})
-            print(unify(st, x, y))
-            """)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == [str(expect)]
 
 
 class TestFailurePurity:
