@@ -161,6 +161,14 @@ def _reading_payload(result):
     return [_term_json(sem) for sem in picked]
 
 
+def _verdict_text(result) -> str:
+    """The verdict line `parse` and `trace` print for a sentence."""
+    nd, nr = len(result.derivations), len(result.readings)
+    return (f"grammatical: {'yes' if result.grammatical else 'no'} "
+            f"({nd} derivation{'s' if nd != 1 else ''}, "
+            f"{nr} reading{'s' if nr != 1 else ''})")
+
+
 def cmd_parse(args) -> int:
     program, lexicon = _build(args)
     trace = _trace_printer(sys.stderr, args.format) if args.trace else None
@@ -179,11 +187,7 @@ def cmd_parse(args) -> int:
     else:
         print(f"sentence: {result.sentence}")
         print(f"tokens: {' '.join(result.tokens)}")
-        verdict = "yes" if result.grammatical else "no"
-        nd, nr = len(result.derivations), len(result.readings)
-        print(f"grammatical: {verdict} "
-              f"({nd} derivation{'s' if nd != 1 else ''}, "
-              f"{nr} reading{'s' if nr != 1 else ''})")
+        print(_verdict_text(result))
         for i, reading in enumerate(result.readings, 1):
             print(f"reading {i}: {canonical_text(reading)}")
         if args.avm:
@@ -201,8 +205,9 @@ def cmd_corpus(args) -> int:
     if not rows:
         print("warning: corpus is empty", file=sys.stderr)
         return 0
+    trace = _trace_printer(sys.stderr, args.format) if args.trace else None
     parser = Parser(program, lexicon, max_depth=args.max_depth,
-                    max_sc_length=args.max_sc_length)
+                    max_sc_length=args.max_sc_length, trace=trace)
     failures = 0
     results = []
     for sentence, expect in rows:
@@ -279,9 +284,7 @@ def cmd_trace(args) -> int:
                     "derivations": len(result.derivations),
                     "readings": len(result.readings)})
     else:
-        print(f"grammatical: {'yes' if result.grammatical else 'no'} "
-              f"({len(result.derivations)} derivations, "
-              f"{len(result.readings)} readings)")
+        print(_verdict_text(result))
     return 0
 
 

@@ -31,6 +31,20 @@ The finite entry goal and the match rules call these clauses: matching
 the head puts the tabled entry in place, and the residue runs again
 against the sentence's terms, driven by the same wakes as before.
 Loading source into the Program drops the table.
+
+Most entry answers place adverbials and inherited arguments where no
+token of the sentence can stand, and `match_members` would find that
+out only after running cluster-verb residues.  So before the match goal
+runs, a read-only check (`_sorts_fit`) asks whether some order of the
+tokens could pair with the reversed skeleton as `match_members` pairs
+them, judging by sort alone, and skips the answer if none can.  It reads
+each token's tabled answers once per attempt, through
+`Program.candidates`: a member fits a token if some answer is not a
+record or its sort meets the member's; an unbound member fits any
+token.  Matching only refines a member's sort, and in a sort tree a
+failed meet stays failed under refinement, so a skipped answer could
+never have matched.  The check binds nothing, so the answers it passes,
+and their order, are those the match phase would have found anyway.
 """
 
 from __future__ import annotations
@@ -41,7 +55,8 @@ from .errors import LimitExceededError, NoFiniteVerbError, UnknownTokensError
 from .lexicon import Lexicon
 from .render import canonical, canonical_text
 from .solver import Engine, Program
-from .terms import NIL, Atom, Avm, ListCons, Struct, Var, make_list, resolve
+from .terms import (NIL, Atom, Avm, ListCons, SortTable, Struct, Var, deref,
+                    make_list, resolve)
 
 # Surface matching as clauses, so it can drive the same waking machinery
 # as everything else.  The member spine comes in reverse subcat order:
@@ -139,20 +154,26 @@ class Parser:
         for t in right:
             self._table(engine, "tabled_entry", "lexical_entry", t, "nonfinite")
         store = engine.store
+        left_sorts = [self._answer_sorts(store, "tabled_dependent", t)
+                      for t in left]
+        right_sorts = [self._answer_sorts(store, "tabled_entry", t, "nonfinite")
+                       for t in reversed(right)]
         skeleton = [store.new_var(f"M{i + 1}") for i in range(len(tokens) - 1)]
+        members = skeleton[::-1]
         sign = Avm(self.program.sorts.get("sign"),
                    {"sc": make_list(skeleton), "slash": NIL})
         entry_goal = Struct("tabled_entry",
                             (Atom(word), Atom("finite"), sign))
         match_goal = Struct("match_members",
-                            (make_list(list(reversed(skeleton))),
+                            (make_list(members),
                              make_list([Atom(t) for t in left]),
                              make_list([Atom(t) for t in reversed(right)])))
         out: list[Derivation] = []
         m0 = store.mark()
         try:
             for _ in engine.prove_live([entry_goal]):
-                if store.pending_residue():
+                if store.pending_residue() or not _sorts_fit(
+                        self.program.sorts, members, left_sorts, right_sorts):
                     continue
                 for _ in engine.prove_live([match_goal], reset=False):
                     if store.pending_residue():
@@ -177,6 +198,21 @@ class Parser:
             raise LimitExceededError(
                 f"step limit {self.max_depth} hit while parsing "
                 f"(entry of {args[0]!r})")
+
+    def _answer_sorts(self, store, name: str, *args: str) -> list | None:
+        """Sorts of the tabled answers `name(Args..., Answer)`, or None if
+        some answer is not a record and so fits any member."""
+        lead = tuple(Atom(a) for a in args)
+        sorts = []
+        for c in self.program.candidates((name, len(lead) + 1), store, lead):
+            if c.head.args[:-1] != lead:
+                continue
+            answer = c.head.args[-1]
+            if type(answer) is not Avm:
+                return None
+            if answer.sort not in sorts:
+                sorts.append(answer.sort)
+        return sorts
 
     def _extract(self, sign, tokens: list[str], h: int,
                  left: list[str], right: list[str]) -> Derivation:
@@ -210,6 +246,24 @@ class Parser:
             members=info,
             cluster=cluster_expand(sign),
         )
+
+
+def _sorts_fit(sorts: SortTable, members: list, left: list, right: list) -> bool:
+    """Could `match_members` pair `members` with the tokens in some order,
+    judging by sort alone?  Each member takes the next left token or the
+    next right token; `left` and `right` hold those tokens' answer sorts
+    in the order they are taken (None: fits any member)."""
+    def fits(m, answer_sorts) -> bool:
+        return (answer_sorts is None or type(m) is not Avm
+                or any(sorts.meet(m.sort, s) is not None for s in answer_sorts))
+
+    taken = {0}             # left tokens the members so far may have taken
+    for k, m in enumerate(members):
+        m = deref(m)
+        taken = ({i + 1 for i in taken if i < len(left) and fits(m, left[i])}
+                 | {i for i in taken
+                    if k - i < len(right) and fits(m, right[k - i])})
+    return bool(taken)
 
 
 def _feat_atom(m, name: str) -> str | None:

@@ -116,6 +116,24 @@ class TestCorpusCommand:
         assert data["passed"] == 1 and data["failed"] == 1
         assert len(data["results"]) == 2
 
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_trace_prints_events_to_stderr(self, capsys, tmp_path,
+                                           monkeypatch, how):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("dat arie bob kust\t1\ndat arie wil slapen\t*\n")
+        argv = ["corpus", "--corpus", str(corpus)]
+        _, plain, quiet = run_cli(capsys, *argv)
+        if how == "env":
+            monkeypatch.setenv("TRACE", "1")
+        else:
+            argv.append("--trace")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == plain and "PASS  dat arie bob kust" in out
+        assert quiet == ""
+        assert any(line.startswith("call    lexical_entry")
+                   for line in err.splitlines())
+
 
 class TestTraceCommand:
     def test_goal_shows_suspend_then_resume(self, capsys):
@@ -171,6 +189,18 @@ class TestTraceCommand:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[-1] == {"event": "verdict", "grammatical": True,
                                "derivations": 1, "readings": 1}
+
+    @pytest.mark.parametrize("sentence,verdict", [
+        ("dat arie wil slapen", "yes (1 derivation, 1 reading)"),
+        ("dat arie vandaag bob wil slaan", "yes (2 derivations, 2 readings)"),
+        ("dat arie slapen wil", "no (0 derivations, 0 readings)"),
+    ])
+    def test_sentence_verdict_worded_as_parse(self, capsys, sentence, verdict):
+        _, parsed, _ = run_cli(capsys, "parse", sentence)
+        code, traced, _ = run_cli(capsys, "trace", sentence)
+        assert code == 0
+        assert f"grammatical: {verdict}" in parsed.splitlines()
+        assert traced.splitlines()[-1] == f"grammatical: {verdict}"
 
     def test_requires_sentence_or_goal(self, capsys):
         assert run_cli(capsys, "trace")[0] == 2

@@ -1,6 +1,7 @@
 """End-to-end parsing: judgments, ambiguity, scope, cluster structure."""
 
 import hashlib
+import random
 import time
 from collections import Counter
 
@@ -326,3 +327,75 @@ class TestEntryTable:
             second = Parser(prog, lex).parse(sentence)
             assert len(second.derivations) == AMBIGUITY[sentence][0]
             assert derivation_rows(second) == derivation_rows(first)
+
+
+def acceptance_sentences() -> list[str]:
+    """The seeded scope sentences of acceptance criterion 7."""
+    rng = random.Random(20260818)
+    advs = ["vandaag", "op tijd", "met een verrekijker", "toevallig",
+            "blijkbaar"]
+    auxes = ["wil", "zou", "probeerde"]
+    out = []
+    for _ in range(100):
+        chosen = rng.sample(advs, rng.randint(0, 4))
+        middle = " ".join(chosen) + (" " if chosen else "")
+        out.append(f"dat arie {middle}bob {rng.choice(auxes)} kussen")
+    return out
+
+
+class Answers:
+    """The sort check's verdict on each entry answer, and for each
+    derivation the answer it came from.  With `skip` off every answer
+    goes on to the match phase."""
+
+    def __init__(self):
+        self.verdicts: list[bool] = []
+        self.origin: list[int] = []
+        self.skip = True
+
+
+@pytest.fixture
+def answers(monkeypatch):
+    seen = Answers()
+    real_fit = clgram.parser._sorts_fit
+    real_extract = Parser._extract
+
+    def fit(*args):
+        seen.verdicts.append(real_fit(*args))
+        return seen.verdicts[-1] or not seen.skip
+
+    def extract(self, *args):
+        seen.origin.append(len(seen.verdicts) - 1)
+        return real_extract(self, *args)
+    monkeypatch.setattr(clgram.parser, "_sorts_fit", fit)
+    monkeypatch.setattr(Parser, "_extract", extract)
+    return seen
+
+
+class TestSortCheck:
+    """Entry answers whose members no token order can match by sort are
+    skipped before the match phase, and nothing else changes."""
+
+    @pytest.mark.parametrize("slash", [False, True], ids=["slash_off", "slash_on"])
+    def test_skips_only_answers_that_derive_nothing(self, slash, answers):
+        parser = Parser(*build_program(enable_slash=slash))
+        sentences = [s for s, _ in CORPUS] + acceptance_sentences()
+        checked = [derivation_rows(parser.parse(s)) for s in sentences]
+        answers.verdicts.clear()
+        answers.origin.clear()
+        answers.skip = False
+        unchecked = [derivation_rows(parser.parse(s)) for s in sentences]
+        assert answers.verdicts.count(False) > 0
+        assert all(answers.verdicts[i] for i in answers.origin)
+        assert unchecked == checked
+
+    def test_pinned_verdicts(self, parser, answers):
+        result = parser.parse("dat arie vandaag toevallig bob wil kussen")
+        assert (answers.verdicts.count(True), answers.verdicts.count(False)) \
+            == (4, 11)
+        passed = [i for i, v in enumerate(answers.verdicts) if v]
+        assert sorted(set(answers.origin)) == passed
+        assert len(result.derivations) == len(answers.origin)
+        answers.verdicts.clear()
+        assert not parser.parse("dat wil arie slapen").grammatical
+        assert answers.verdicts == [False]

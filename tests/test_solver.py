@@ -362,23 +362,6 @@ class TestDepth:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == ["100001", "100001"]
 
-    def test_long_concat_with_occurs_check(self):
-        proc = run_python("""
-            from clgram import (Atom, Engine, Solution, Struct, Var,
-                                build_program, make_list)
-            program, _ = build_program()
-            engine = Engine(program, max_depth=200000)
-            x, y = Var("X"), Var("Y")
-            goals = [Struct("concat", (x, make_list([Atom("b")]), y)),
-                     Struct("eq", (x, make_list([Atom("a")] * 100000)))]
-            out = list(engine.solve(goals, var_names={"Y": y}))
-            assert len(out) == 1 and isinstance(out[0], Solution), out
-            assert not out[0].residue
-            print("ok")
-            """)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == ["ok"]
-
     def test_long_list_fact(self):
         # the clause's code is made and run along the list spine, both when
         # the fact builds the list for an unbound goal and when it matches it
