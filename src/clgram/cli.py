@@ -68,7 +68,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="also build entries with an extracted argument")
     p.add_argument("--max-depth", type=_bound,
                    default=_env("MAX_DEPTH", "200000"),
-                   help="step budget per parse attempt or --goal query")
+                   help="step budget per tabling solve (a word's entry, a "
+                        "finite head's frames for one subcat length), per "
+                        "attempt's match phase across all its frames, or "
+                        "per --goal query")
     p.add_argument("--max-sc-length", type=_bound,
                    default=_env("MAX_SC_LENGTH", "10"),
                    help="longest subcat list accepted; longer sentences "
@@ -161,9 +164,9 @@ def _reading_payload(result):
     return [_term_json(sem) for sem in picked]
 
 
-def _verdict_text(result) -> str:
+def _verdict_text(result, readings: list) -> str:
     """The verdict line `parse` and `trace` print for a sentence."""
-    nd, nr = len(result.derivations), len(result.readings)
+    nd, nr = len(result.derivations), len(readings)
     return (f"grammatical: {'yes' if result.grammatical else 'no'} "
             f"({nd} derivation{'s' if nd != 1 else ''}, "
             f"{nr} reading{'s' if nr != 1 else ''})")
@@ -187,8 +190,9 @@ def cmd_parse(args) -> int:
     else:
         print(f"sentence: {result.sentence}")
         print(f"tokens: {' '.join(result.tokens)}")
-        print(_verdict_text(result))
-        for i, reading in enumerate(result.readings, 1):
+        readings = result.readings
+        print(_verdict_text(result, readings))
+        for i, reading in enumerate(readings, 1):
             print(f"reading {i}: {canonical_text(reading)}")
         if args.avm:
             for i, d in enumerate(result.derivations, 1):
@@ -284,7 +288,7 @@ def cmd_trace(args) -> int:
                     "derivations": len(result.derivations),
                     "readings": len(result.readings)})
     else:
-        print(_verdict_text(result))
+        print(_verdict_text(result, result.readings))
     return 0
 
 

@@ -32,6 +32,18 @@ the head puts the tabled entry in place, and the residue runs again
 against the sentence's terms, driven by the same wakes as before.
 Loading source into the Program drops the table.
 
+The finite entry goal is tabled one level up in the same way.  It
+depends only on the head word and the subcat length n (the skeleton is
+n fresh variables), so `Parser._frames` solves it once per Program and
+(word, n), with a step budget of its own, and keeps each answer that
+leaves no residue as a frame: the resolved sign and its members in
+`match_members` order.  The key is (word, n) rather than the sentence,
+because the goal sees nothing else of it; an attempt then copies a
+frame and runs only the match phase, whose step budget spans all of the
+attempt's frames.  The frames keep the order of the answers, so the
+derivations come out in the order the nested entry and match
+enumeration gave them.  A cut-off solve records nothing.
+
 Most entry answers place adverbials and inherited arguments where no
 token of the sentence can stand, and `match_members` would find that
 out only after running cluster-verb residues.  So before the match goal
@@ -44,7 +56,9 @@ record or its sort meets the member's; an unbound member fits any
 token.  Matching only refines a member's sort, and in a sort tree a
 failed meet stays failed under refinement, so a skipped answer could
 never have matched.  The check binds nothing, so the answers it passes,
-and their order, are those the match phase would have found anyway.
+and their order, are those the match phase would have found anyway.  It
+reads a frame's own members, which have the sorts of the live answer,
+so a frame it skips is never copied.
 """
 
 from __future__ import annotations
@@ -54,9 +68,9 @@ from dataclasses import dataclass, field
 from .errors import LimitExceededError, NoFiniteVerbError, UnknownTokensError
 from .lexicon import Lexicon
 from .render import canonical, canonical_text
-from .solver import Engine, Program
-from .terms import (NIL, Atom, Avm, ListCons, SortTable, Struct, Var, deref,
-                    make_list, resolve)
+from .solver import Engine, Program, Truncated
+from .terms import (NIL, Atom, Avm, ListCons, SortTable, Struct, Var,
+                    copy_term, deref, make_list, resolve)
 
 # Surface matching as clauses, so it can drive the same waking machinery
 # as everything else.  The member spine comes in reverse subcat order:
@@ -99,11 +113,7 @@ class ParseResult:
 
     @property
     def readings(self) -> list[tuple]:
-        seen: list[tuple] = []
-        for d in self.derivations:
-            if d.reading not in seen:
-                seen.append(d.reading)
-        return seen
+        return list(dict.fromkeys(d.reading for d in self.derivations))
 
 
 def _walk_list(t) -> list:
@@ -153,33 +163,33 @@ class Parser:
             self._table(engine, "tabled_dependent", "lexical_dependent", t)
         for t in right:
             self._table(engine, "tabled_entry", "lexical_entry", t, "nonfinite")
+        frames = self._frames(engine, word, len(tokens) - 1)
         store = engine.store
         left_sorts = [self._answer_sorts(store, "tabled_dependent", t)
                       for t in left]
         right_sorts = [self._answer_sorts(store, "tabled_entry", t, "nonfinite")
                        for t in reversed(right)]
-        skeleton = [store.new_var(f"M{i + 1}") for i in range(len(tokens) - 1)]
-        members = skeleton[::-1]
-        sign = Avm(self.program.sorts.get("sign"),
-                   {"sc": make_list(skeleton), "slash": NIL})
-        entry_goal = Struct("tabled_entry",
-                            (Atom(word), Atom("finite"), sign))
-        match_goal = Struct("match_members",
-                            (make_list(members),
-                             make_list([Atom(t) for t in left]),
-                             make_list([Atom(t) for t in reversed(right)])))
+        lefts = make_list([Atom(t) for t in left])
+        rights = make_list([Atom(t) for t in reversed(right)])
         out: list[Derivation] = []
+        reset = True            # one step budget across the attempt's frames
         m0 = store.mark()
         try:
-            for _ in engine.prove_live([entry_goal]):
-                if store.pending_residue() or not _sorts_fit(
-                        self.program.sorts, members, left_sorts, right_sorts):
+            for frame, members in frames:
+                if not _sorts_fit(self.program.sorts, members,
+                                  left_sorts, right_sorts):
                     continue
-                for _ in engine.prove_live([match_goal], reset=False):
+                sign = copy_term(store, frame)
+                skeleton = _walk_list(sign.feats["sc"])
+                goal = Struct("match_members",
+                              (make_list(skeleton[::-1]), lefts, rights))
+                for _ in engine.prove_live([goal], reset=reset):
                     if store.pending_residue():
                         continue
                     resolved = resolve(store, sign)
                     out.append(self._extract(resolved, tokens, h, left, right))
+                reset = False
+                store.undo_to(m0)
                 if engine.truncated:
                     break
         finally:
@@ -189,6 +199,29 @@ class Parser:
                 f"step limit {self.max_depth} hit while parsing "
                 f"(head {tokens[h]!r})")
         return out
+
+    def _frames(self, engine: Engine, word: str, n: int) -> list[tuple]:
+        """The finite entries of `word` with a subcat list of `n` members,
+        solved once per Program: each answer that leaves no residue, as its
+        resolved sign and its members in `match_members` order."""
+        frames = self.program.frames.get((word, n))
+        if frames is not None:
+            return frames
+        skeleton = [engine.store.new_var(f"M{i + 1}") for i in range(n)]
+        sign = Avm(self.program.sorts.get("sign"),
+                   {"sc": make_list(skeleton), "slash": NIL})
+        goal = Struct("tabled_entry", (Atom(word), Atom("finite"), sign))
+        frames = []
+        for sol in engine.solve([goal], var_names={"sign": sign}):
+            if isinstance(sol, Truncated):
+                raise LimitExceededError(
+                    f"step limit {self.max_depth} hit while parsing "
+                    f"(entry of {word!r} with {n} members)")
+            if not sol.residue:
+                frame = sol.bindings["sign"]
+                frames.append((frame, _walk_list(frame.feats["sc"])[::-1]))
+        self.program.frames[word, n] = frames
+        return frames
 
     def _table(self, engine: Engine, name: str, pred: str, *args: str) -> None:
         """Table `pred(Args..., Entry)` as clauses of `name`, unless the

@@ -24,7 +24,7 @@ wraps this with snapshotting and cleanup.  Exceeding the step budget
 ends the enumeration with a `Truncated` marker so callers can tell a
 cut-off search from an exhausted one.  The budget counts every step of
 one `solve`, or of one `prove_live` enumeration together with those
-nested in it, across all of its answers.
+nested in it or following on from it, across all of its answers.
 
 A clause is tried without renaming it first.  On its first try it is
 compiled (`terms.compile_clause`) into a matcher per head argument and a
@@ -122,6 +122,8 @@ class Program:
         # goals tabled by `Engine.table`, each with the predicate that holds
         # its answers as template clauses
         self._tabled: dict[tuple, tuple[str, int]] = {}
+        # the parser's finite entry frames per (word, subcat length)
+        self.frames: dict[tuple[str, int], list] = {}
 
     def load(self, text: str, path: str | None = None) -> None:
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -132,6 +134,7 @@ class Program:
         for pred in set(self._tabled.values()):  # answers may rest on any clause
             self._clauses[pred] = []
         self._tabled.clear()
+        self.frames.clear()
         for item in parse_source(text, self.sorts, path):
             kind = item[0]
             if kind == "sort":
@@ -366,7 +369,8 @@ class Engine:
         still live in the store.  Caller inspects/resolves, then advances.
         Caller must mark/undo around the whole enumeration, also after a
         cut-off.  Pass reset=False when nesting inside another live
-        enumeration, so the step budget and the cut-off flag stay shared."""
+        enumeration, or to follow on from an earlier one, so the step
+        budget and the cut-off flag stay shared."""
         if reset:
             self._steps = 0
             self._truncated = False

@@ -9,8 +9,8 @@ import pytest
 
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
-from clgram import (ListCons, LimitExceededError, NoFiniteVerbError, Parser,
-                    UnknownTokensError, build_program, cluster_expand,
+from clgram import (Atom, ListCons, LimitExceededError, NoFiniteVerbError,
+                    Parser, UnknownTokensError, build_program, cluster_expand,
                     corpus_source, load_corpus)
 
 CORPUS = load_corpus(corpus_source())
@@ -68,6 +68,15 @@ class TestJudgments:
     def test_frozen_counts(self, parser, sentence, counts):
         result = parser.parse(sentence)
         assert (len(result.derivations), len(result.readings)) == counts
+
+    @pytest.mark.parametrize("sentence", list(AMBIGUITY))
+    def test_readings_in_first_occurrence_order(self, parser, sentence):
+        result = parser.parse(sentence)
+        first: list = []
+        for d in result.derivations:
+            if d.reading not in first:
+                first.append(d.reading)
+        assert result.readings == first
 
     def test_repeated_adverb_collapses_readings(self, parser):
         result = parser.parse("dat arie vandaag vandaag bob wil kussen")
@@ -240,6 +249,10 @@ class TestAttempts:
         assert len(engines) == 1
 
 
+LONG_ATTEMPT = ("dat arie bob vandaag toevallig blijkbaar op tijd "
+                "met een verrekijker wil kunnen kussen")
+
+
 class TestResourceBounds:
     def test_subcat_length_cap(self, program, lexicon, engines):
         capped = Parser(program, lexicon, max_sc_length=3)
@@ -259,8 +272,7 @@ class TestResourceBounds:
         bounded = Parser(program, lexicon, max_depth=5000)
         t0 = time.monotonic()
         with pytest.raises(LimitExceededError):
-            bounded.parse("dat arie bob vandaag toevallig blijkbaar op tijd "
-                          "met een verrekijker wil kunnen kussen")
+            bounded.parse(LONG_ATTEMPT)
         assert time.monotonic() - t0 < 10.0
 
 
@@ -327,6 +339,53 @@ class TestEntryTable:
             second = Parser(prog, lex).parse(sentence)
             assert len(second.derivations) == AMBIGUITY[sentence][0]
             assert derivation_rows(second) == derivation_rows(first)
+
+
+class TestFrameTable:
+    """A finite head's entry phase is solved once per Program and subcat
+    length; each attempt runs only the match phase over the kept frames."""
+
+    def test_entry_phase_only_on_first_sight(self):
+        solved = []
+
+        def trace(event, store):
+            goal = event[1]
+            if (event[0] == "call" and goal.name == "tabled_entry"
+                    and goal.args[1] == Atom("finite")):
+                solved.append(goal.args[0].name)
+        program, lexicon = build_program()
+        parser = Parser(program, lexicon, trace=trace)
+        runs = []
+        for sentence in ("dat arie bob wil kussen",    # wil, 3 members
+                         "dat bob arie wil kussen",    # wil, 3 again
+                         "dat arie wil slapen"):       # wil, 2 members
+            solved.clear()
+            result = parser.parse(sentence)
+            runs.append(list(solved))
+            assert derivation_rows(result) == \
+                derivation_rows(Parser(*build_program()).parse(sentence))
+        assert runs == [["wil"], [], ["wil"]]
+        assert set(program.frames) == {("wil", 3), ("wil", 2)}
+
+    def test_cut_off_frame_solve_records_nothing(self):
+        program, lexicon = build_program()
+        Parser(program, lexicon).parse("dat arie bob vandaag wil kussen")
+        sentence = "dat arie vandaag wil kussen"   # every word tabled
+        with pytest.raises(LimitExceededError, match="entry of 'wil'"):
+            Parser(program, lexicon, max_depth=3).parse(sentence)
+        assert ("wil", 3) not in program.frames
+        full = Parser(program, lexicon).parse(sentence)
+        assert derivation_rows(full) == \
+            derivation_rows(Parser(*build_program()).parse(sentence))
+
+    def test_budget_spans_frames(self):
+        program, lexicon = build_program()
+        assert len(Parser(program, lexicon).parse(LONG_ATTEMPT).derivations) \
+            == 966
+        assert len(program.frames["wil", 9]) == 255
+        # no one frame's match phase takes 5,000 steps; together they do
+        with pytest.raises(LimitExceededError, match="head 'wil'"):
+            Parser(program, lexicon, max_depth=5000).parse(LONG_ATTEMPT)
 
 
 def acceptance_sentences() -> list[str]:
