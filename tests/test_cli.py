@@ -75,6 +75,15 @@ class TestParseCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_custom_lexicon_word_parses(self, capsys, tmp_path):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("zzann\tnoun\n"
+                       "zzslapen\tverb\tframe=iv soa=zz_soa roles=a phon=zzslaap\n")
+        code, out, _ = run_cli(capsys, "parse", "dat zzann zzslaapt",
+                               "--lexicon", str(lex))
+        assert code == 0
+        assert "grammatical: yes (1 derivation, 1 reading)" in out
+
 
 class TestCorpusCommand:
     def test_packaged_corpus_all_pass(self, capsys):
