@@ -15,24 +15,29 @@ complement and inherit its subcat list, linking their subject's index
 to the complement's subject (control).  Perception verbs (aci) inherit
 the complement's subcat list plus its subject as a realized argument.
 
-`compile` produces grammar-language source (sort declarations, stem/2,
-finite_form/2, nonfinite_ok/1, noun_entry/2, adverbial_entry/2);
-`install` loads it into a Program.
+`install` declares each soa sort under the grammar's `soa` and adds the
+entries' clauses (stem/2, finite_form/2, nonfinite_ok/1, noun_entry/2,
+adverbial_entry/2) to a Program, copied from shapes read once per kind
+of entry.  `compile` writes the same sorts and clauses as source text:
+the reference install is tested against, not a step of it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import LexiconError
+from .reader import parse_source
+from .solver import Clause, source_digest
+from .terms import Atom, Avm, ListCons, SortTable, Struct, Var
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 _FRAME_ROLE_COUNT = {"iv": 1, "tv": 2, "dtv": 3}
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerbEntry:
     word: str
     frame: str
@@ -41,20 +46,62 @@ class VerbEntry:
     phon: str
     finite: str | None
     nonfinite: bool
+    line: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class NounEntry:
     word: str
     index: str
+    line: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdvEntry:
     word: str
     kind: str  # "restr" or "op"
     rel: str | None
     soa: str | None
+    line: int
+
+
+def _slot(e):
+    """The entry `e`'s clauses are copied from: `e` with slot atoms and roles
+    and the grammar's sort `soa`.  Also the names `e` puts in those slots."""
+    if type(e) is NounEntry:
+        return NounEntry("slot_word", "slot_index", 0), {"slot_word": e.word, "slot_index": e.index}
+    if type(e) is AdvEntry:
+        return (replace(e, word="slot_word", rel=e.rel and "slot_rel", soa=e.soa and "soa",
+                        line=0), {"slot_word": e.word, "slot_rel": e.rel})
+    roles = tuple(f"slot_role{i}" for i in range(len(e.roles)))
+    return (replace(e, word="slot_word", soa="soa", roles=roles, phon="slot_phon",
+                    finite=e.finite and "slot_form", line=0),
+            {"slot_word": e.word, "slot_phon": e.phon, "slot_form": e.finite,
+             **dict(zip(roles, e.roles))})
+
+
+def _fill(shape: tuple, names: dict, sorts: SortTable, soa: str | None, pos) -> Clause:
+    """A copy of the shape clause, fresh node by node as read, with slot
+    atoms and roles renamed by `names`, and the sort named `soa` in place
+    of the grammar's sort `soa`."""
+    fresh: dict[Var, Var] = {}
+
+    def term(t):
+        tp = type(t)
+        if tp is Atom:
+            return Atom(names.get(t.name, t.name))
+        if tp is Var:
+            return fresh.get(t) or fresh.setdefault(t, Var(t.name))
+        if tp is Struct:
+            return Struct(t.name, [term(a) for a in t.args])
+        if tp is ListCons:
+            return ListCons(term(t.head), term(t.tail))
+        if tp is Avm:
+            return Avm(sorts.get(soa) if t.sort.name == "soa" else t.sort,
+                       {names.get(f, f): term(x) for f, x in t.feats.items()})
+        return t  # NIL
+    head, body = shape
+    return Clause(term(head), tuple(map(term, body)), pos)
 
 
 def _check_atom(value: str, what: str, lineno: int) -> str:
@@ -66,6 +113,7 @@ def _check_atom(value: str, what: str, lineno: int) -> str:
 class Lexicon:
     def __init__(self, text: str, path: str | None = None):
         self.path = path
+        self.digest = source_digest(text)
         self.verbs: dict[str, VerbEntry] = {}
         self.nouns: dict[str, NounEntry] = {}
         self.advs: dict[str, AdvEntry] = {}
@@ -135,6 +183,8 @@ class Lexicon:
                     f"got {len(roles)}")
             for r in roles:
                 _check_atom(r, "role", lineno)
+            if len(set(roles)) != len(roles):
+                raise LexiconError(f"line {lineno}: duplicate role in {roles_raw!r}")
         else:
             if roles_raw:
                 raise LexiconError(f"line {lineno}: frame {frame} takes no roles=")
@@ -148,14 +198,14 @@ class Lexicon:
             raise LexiconError(f"line {lineno}: nonfin must be + or -")
         if params:
             raise LexiconError(f"line {lineno}: unknown parameters {sorted(params)}")
-        self.verbs[word] = VerbEntry(word, frame, soa, roles, phon, finite, nonfin == "+")
+        self.verbs[word] = VerbEntry(word, frame, soa, roles, phon, finite, nonfin == "+", lineno)
 
     def _add_noun(self, word: str, params: dict, lineno: int) -> None:
         index = params.pop("index", word)
         _check_atom(index, "index", lineno)
         if params:
             raise LexiconError(f"line {lineno}: unknown parameters {sorted(params)}")
-        self.nouns[word] = NounEntry(word, index)
+        self.nouns[word] = NounEntry(word, index, lineno)
 
     def _add_adv(self, word: str, kind: str, params: dict, lineno: int) -> None:
         if kind == "restr":
@@ -168,38 +218,30 @@ class Lexicon:
             rel = None
         if params:
             raise LexiconError(f"line {lineno}: unknown parameters {sorted(params)}")
-        self.advs[word] = AdvEntry(word, kind, rel, soa)
+        self.advs[word] = AdvEntry(word, kind, rel, soa, lineno)
 
-    # -- compiling to grammar-language source
+    # -- clauses
 
     def compile(self) -> str:
-        out: list[str] = ["% compiled lexicon"]
-        soa_sorts: list[str] = []
-        for v in self.verbs.values():
-            if v.soa not in soa_sorts:
-                soa_sorts.append(v.soa)
-        for a in self.advs.values():
-            if a.soa and a.soa not in soa_sorts:
-                soa_sorts.append(a.soa)
-        for s in soa_sorts:
-            out.append(f"sort {s} < soa.")
-        out.append("")
-        for v in self.verbs.values():
-            out.append(self._stem_clause(v))
-            if v.finite is not None:
-                out.append(f"finite_form({v.word}, {v.finite}).")
-            if v.nonfinite:
-                out.append(f"nonfinite_ok({v.word}).")
-        out.append("")
-        for n in self.nouns.values():
-            out.append(f"noun_entry({n.word}, "
-                       f"@noun{{lex: {n.word}, dir: left, "
-                       f"sem: @sem_obj{{index: {n.index}}}}}).")
-        out.append("")
-        for a in self.advs.values():
-            out.append(self._adv_clause(a))
-        out.append("")
-        return "\n".join(out)
+        soas = dict.fromkeys(e.soa for e in (*self.verbs.values(), *self.advs.values()) if e.soa)
+        out = ["% compiled lexicon", *(f"sort {s} < soa." for s in soas), ""]
+        for e in (*self.verbs.values(), *self.nouns.values(), *self.advs.values()):
+            out += self._texts(e)
+        return "\n".join(out) + "\n"
+
+    def _texts(self, e) -> list[str]:
+        """The grammar-language text of entry `e`'s clauses."""
+        if type(e) is NounEntry:
+            return [f"noun_entry({e.word}, @noun{{lex: {e.word}, dir: left, "
+                    f"sem: @sem_obj{{index: {e.index}}}}})."]
+        if type(e) is AdvEntry:
+            return [self._adv_clause(e)]
+        out = [self._stem_clause(e)]
+        if e.finite is not None:
+            out.append(f"finite_form({e.word}, {e.finite}).")
+        if e.nonfinite:
+            out.append(f"nonfinite_ok({e.word}).")
+        return out
 
     def _stem_clause(self, v: VerbEntry) -> str:
         if v.frame in _FRAME_ROLE_COUNT:
@@ -248,7 +290,29 @@ class Lexicon:
             f"restr: []}}}}}}}}).")
 
     def install(self, program) -> None:
-        program.load(self.compile(), self.path or "<lexicon>")
+        """Declare the soa sorts on `program` and add the clauses `compile`'s
+        text reads as, each `_fill`ed from a shape read once per kind of
+        entry (`_slot`).  Installing the same lexicon text twice adds nothing."""
+        if self.digest in program.loaded:
+            return
+        sorts = program.sorts
+        named = [e for e in (*self.verbs.values(), *self.advs.values()) if e.soa]
+        for e in named:
+            if e.soa in sorts:
+                raise LexiconError(f"line {e.line}: soa {e.soa!r} names an existing sort")
+        for soa in dict.fromkeys(e.soa for e in named):
+            sorts.declare(soa, "soa")
+        shapes: dict = {}
+        clauses: list[Clause] = []
+        for e in (*self.verbs.values(), *self.nouns.values(), *self.advs.values()):
+            slot, names = _slot(e)
+            if slot not in shapes:
+                items = parse_source("\n".join(self._texts(slot)), sorts, "<lexicon shapes>")
+                shapes[slot] = [item[1:3] for item in items]
+            clauses += [_fill(shape, names, sorts, getattr(e, "soa", None),
+                              f"{self.path or '<lexicon>'}:{e.line}")
+                        for shape in shapes[slot]]
+        program.add_clauses(clauses, self.digest)
         for name, arity in (("stem", 2), ("finite_form", 2), ("nonfinite_ok", 1),
                             ("noun_entry", 2), ("adverbial_entry", 2)):
             program.ensure_predicate(name, arity)

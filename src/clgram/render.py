@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-from .terms import NIL, Atom, Avm, ListCons, Struct, Var, _Nil
+from .terms import NIL, Atom, Avm, ListCons, Struct, Var, _Nil, _count_nodes
 
 _INLINE_WIDTH = 60
 
@@ -23,23 +23,6 @@ def render(t, fmt: str = "avm") -> str:
     if fmt == "json":
         return json.dumps(_to_json(t), sort_keys=True, ensure_ascii=False)
     raise ValueError(f"unknown render format: {fmt}")
-
-
-# ---------------------------------------------------------------------------
-# sharing detection
-
-def _count_nodes(t, counts: dict[int, int]) -> None:
-    while isinstance(t, (Avm, ListCons, Struct)):
-        k = id(t)
-        counts[k] = counts.get(k, 0) + 1
-        if counts[k] > 1:
-            return
-        if not isinstance(t, ListCons):
-            for v in t.feats.values() if isinstance(t, Avm) else t.args:
-                _count_nodes(v, counts)
-            return
-        _count_nodes(t.head, counts)
-        t = t.tail
 
 
 # ---------------------------------------------------------------------------

@@ -110,13 +110,14 @@ def _index_key(t):
 
 
 class Program:
-    """Sorts, clauses and block declarations loaded from source text."""
+    """Sorts, clauses and block declarations, from source text or `add_clauses`."""
 
     def __init__(self, sorts: SortTable | None = None):
         self.sorts = sorts if sorts is not None else SortTable()
         self._clauses: dict[tuple[str, int], list[Clause]] = {}
         self._blocks: dict[tuple[str, int], BlockSpec] = {}
-        self._loaded: set[str] = set()
+        # digests of the sources whose clauses were added
+        self.loaded: set[str] = set()
         # candidates per (predicate, first-argument key), in clause order
         self._filtered: dict[tuple, list[Clause]] = {}
         # goals tabled by `Engine.table`, each with the predicate that holds
@@ -126,15 +127,10 @@ class Program:
         self.frames: dict[tuple[str, int], list] = {}
 
     def load(self, text: str, path: str | None = None) -> None:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if digest in self._loaded:
+        digest = source_digest(text)
+        if digest in self.loaded:
             return
-        self._loaded.add(digest)
-        self._filtered.clear()
-        for pred in set(self._tabled.values()):  # answers may rest on any clause
-            self._clauses[pred] = []
-        self._tabled.clear()
-        self.frames.clear()
+        clauses = []
         for item in parse_source(text, self.sorts, path):
             kind = item[0]
             if kind == "sort":
@@ -151,11 +147,23 @@ class Program:
                 self.ensure_predicate(name, len(mask))
                 continue
             _, head, body, pos = item
-            if isinstance(head, Struct):
-                key = (head.name, len(head.args))
-            else:
-                key = (head.name, 0)
-            self._clauses.setdefault(key, []).append(Clause(head, body, pos))
+            clauses.append(Clause(head, body, pos))
+        self.add_clauses(clauses, digest)
+
+    def add_clauses(self, clauses: list[Clause], digest: str) -> None:
+        """Append `clauses` to their predicates, in order, and record their
+        source's `digest`.  Tables and frames may rest on any clause, so
+        they are emptied."""
+        self.loaded.add(digest)
+        self._filtered.clear()
+        for pred in set(self._tabled.values()):
+            self._clauses[pred] = []
+        self._tabled.clear()
+        self.frames.clear()
+        for c in clauses:
+            head = c.head
+            key = (head.name, len(head.args) if type(head) is Struct else 0)
+            self._clauses.setdefault(key, []).append(c)
 
     def ensure_predicate(self, name: str, arity: int) -> None:
         """Register a predicate with no clauses yet, so calling it fails
@@ -379,6 +387,10 @@ class Engine:
     @property
     def truncated(self) -> bool:
         return self._truncated
+
+
+def source_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _named_vars(goals: list) -> dict[str, Var]:

@@ -84,6 +84,13 @@ class TestParseCommand:
         assert code == 0
         assert "grammatical: yes (1 derivation, 1 reading)" in out
 
+    def test_soa_naming_a_grammar_sort_is_a_lexicon_error(self, capsys, tmp_path):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("zzann\tnoun\nzz\tverb\tframe=iv soa=noun roles=a\n")
+        code, _, err = run_cli(capsys, "parse", "dat zzann zzt", "--lexicon", str(lex))
+        assert code == 2
+        assert err == "error: line 2: soa 'noun' names an existing sort\n"
+
 
 class TestCorpusCommand:
     def test_packaged_corpus_all_pass(self, capsys):

@@ -3,7 +3,7 @@
 
 import pytest
 
-from clgram import (Avm, Lexicon, ListCons, Parser, Program, Struct, Var,
+from clgram import (Avm, Lexicon, LexiconError, ListCons, Parser, Program, Struct, Var,
                     build_program, canonical, canonical_text, fragment_source,
                     lexicon_source)
 
@@ -111,3 +111,41 @@ class TestInstall:
         extra.install(program)
         assert not program.frames
         assert Parser(program, extra).parse("dat zzann zzslaapt").grammatical
+
+
+class TestErrors:
+    @pytest.mark.parametrize("text, message", [
+        ("zz\tverb\tframe=iv soa=noun roles=a\n",
+         "line 1: soa 'noun' names an existing sort"),
+        ("zz\tverb\tframe=iv soa=top roles=a\n",
+         "line 1: soa 'top' names an existing sort"),
+        ("zz\tnoun\nzzo\tadv-op\tsoa=sign\n",
+         "line 2: soa 'sign' names an existing sort"),
+        ("zz\tverb\tframe=tv soa=zz_soa roles=a,a\n",
+         "line 1: duplicate role in 'a,a'"),
+        ("zz\tverb\tframe=tv soa=zz_soa roles=a\n",
+         "line 1: frame tv needs 2 roles, got 1"),
+        ("zz\tverb\tframe=iv soa=zz_soa roles=a phon=P\n",
+         "line 1: phon 'P' is not a valid atom"),
+        ("zz\tverb\tframe=iv soa=a_soa roles=a fin=f\n"
+         "zy\tverb\tframe=iv soa=b_soa roles=a fin=f\n",
+         "finite surface 'f' belongs to both 'zz' and 'zy'"),
+    ])
+    def test_message_names_the_line(self, text, message):
+        with pytest.raises(LexiconError) as e:
+            installed(Lexicon(text))
+        assert str(e.value) == message
+
+    def test_a_clash_declares_nothing(self):
+        program = Program()
+        program.load(fragment_source(), "fragment.clg")
+        before = sort_rows(program)
+        with pytest.raises(LexiconError):
+            Lexicon("zz\tverb\tframe=iv soa=zz_soa roles=a\n"
+                    "zy\tverb\tframe=iv soa=noun roles=a\n").install(program)
+        assert sort_rows(program) == before
+
+    def test_entries_may_share_a_soa(self):
+        program = installed(Lexicon("zz\tverb\tframe=iv soa=zz_soa roles=a\n"
+                                    "zy\tverb\tframe=tv soa=zz_soa roles=a,b\n"))
+        assert program.sorts.get("zz_soa").parent.name == "soa"
