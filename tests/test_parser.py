@@ -388,6 +388,102 @@ class TestFrameTable:
             Parser(program, lexicon, max_depth=5000).parse(LONG_ATTEMPT)
 
 
+# `bench/gen.py`'s scope sentences for seeds 101-105, written out so that
+# the pin below does not move when the benchmark's generator does
+SCOPE_SENTENCES = [
+    "dat boeken blijkbaar probeerde slapen",
+    "dat bob blijkbaar de vrouwen probeerde kussen",
+    "dat arie met een verrekijker probeerde kunnen slapen",
+    "dat bob met een verrekijker blijkbaar wil slapen",
+    "dat cadeautjes op tijd de vrouwen wil willen bekijken",
+    "dat boeken op tijd met een verrekijker cadeautjes wil bekijken",
+    "dat bob met een verrekijker vandaag blijkbaar probeerde slapen",
+    "dat de vrouwen met een verrekijker toevallig zou moeten slapen",
+    "dat het artikel toevallig blijkbaar op tijd arie probeerde bekijken",
+    "dat cadeautjes toevallig met een verrekijker boeken wil kunnen kussen",
+    "dat bob met een verrekijker vandaag cadeautjes probeerde willen slaan",
+    "dat bob vandaag wil slapen",
+    "dat arie vandaag de vrouwen wil slaan",
+    "dat cadeautjes toevallig wil willen slapen",
+    "dat het artikel toevallig blijkbaar wil slapen",
+    "dat bob op tijd het artikel zou kunnen slaan",
+    "dat bob op tijd met een verrekijker arie zou bekijken",
+    "dat bob vandaag blijkbaar op tijd probeerde slapen",
+    "dat de vrouwen vandaag toevallig probeerde moeten slapen",
+    "dat bob met een verrekijker toevallig vandaag de vrouwen probeerde bekijken",
+    "dat bob toevallig met een verrekijker cadeautjes probeerde kunnen slaan",
+    "dat de vrouwen op tijd vandaag bob wil moeten bekijken",
+    "dat cadeautjes met een verrekijker zou slapen",
+    "dat bob blijkbaar arie probeerde slaan",
+    "dat boeken blijkbaar wil moeten slapen",
+    "dat boeken toevallig blijkbaar wil slapen",
+    "dat cadeautjes met een verrekijker de vrouwen wil moeten bekijken",
+    "dat bob blijkbaar op tijd cadeautjes probeerde kussen",
+    "dat boeken toevallig blijkbaar met een verrekijker probeerde slapen",
+    "dat cadeautjes vandaag met een verrekijker zou moeten slapen",
+    "dat het artikel vandaag blijkbaar toevallig arie probeerde kussen",
+    "dat de vrouwen vandaag blijkbaar arie probeerde moeten slaan",
+    "dat arie toevallig met een verrekijker cadeautjes zou willen bekijken",
+    "dat boeken met een verrekijker zou slapen",
+    "dat cadeautjes toevallig het artikel probeerde kussen",
+    "dat de vrouwen blijkbaar zou moeten slapen",
+    "dat arie met een verrekijker op tijd wil slapen",
+    "dat het artikel met een verrekijker de vrouwen probeerde willen kussen",
+    "dat arie met een verrekijker op tijd cadeautjes zou bekijken",
+    "dat de vrouwen blijkbaar vandaag met een verrekijker zou slapen",
+    "dat arie toevallig met een verrekijker zou willen slapen",
+    "dat cadeautjes op tijd met een verrekijker vandaag het artikel wil bekijken",
+    "dat cadeautjes blijkbaar vandaag bob wil willen kussen",
+    "dat cadeautjes blijkbaar op tijd arie zou kunnen kussen",
+    "dat het artikel blijkbaar wil slapen",
+    "dat boeken blijkbaar arie zou kussen",
+    "dat arie met een verrekijker probeerde kunnen slapen",
+    "dat arie vandaag met een verrekijker zou slapen",
+    "dat cadeautjes vandaag arie zou moeten slaan",
+    "dat cadeautjes vandaag toevallig bob probeerde kussen",
+    "dat arie vandaag blijkbaar op tijd zou slapen",
+    "dat boeken vandaag toevallig probeerde kunnen slapen",
+    "dat de vrouwen met een verrekijker vandaag toevallig cadeautjes zou bekijken",
+    "dat bob op tijd blijkbaar arie probeerde willen kussen",
+    "dat cadeautjes blijkbaar toevallig arie zou moeten kussen",
+]
+
+# dat arie bob <k adverbials> zou moeten kunnen willen kussen, k = 0..3
+ADVERBIAL_SERIES = [
+    " ".join(["dat arie bob", *["vandaag", "toevallig", "blijkbaar"][:k],
+              "zou moeten kunnen willen kussen"])
+    for k in range(4)]
+
+PINNED = SCOPE_SENTENCES + ADVERBIAL_SERIES + [LONG_ATTEMPT]
+
+# sha256 over the rows of PINNED, slash off, taken before the match phase
+# was driven from the parser
+PINNED_DIGEST = \
+    "4bc0f91e07ce1a6e32fabe3448523525fd4a03e2354593afa5cacc63bac33773"
+
+
+@pytest.fixture(scope="module")
+def pinned_rows():
+    parser = Parser(*build_program())
+    return [derivation_rows(parser.parse(s)) for s in PINNED]
+
+
+class TestDerivationPin:
+    """How answers are found may change; the derivations and their order
+    may not."""
+
+    def test_rows_pinned(self, pinned_rows):
+        digest = hashlib.sha256(repr(pinned_rows).encode()).hexdigest()
+        assert digest == PINNED_DIGEST
+
+    def test_warmed_parser_gives_the_same_rows(self, pinned_rows):
+        # reversed, each sentence meets other tables than in the forward
+        # pass; the first parse of either pass meets none
+        parser = Parser(*build_program())
+        backwards = [derivation_rows(parser.parse(s)) for s in reversed(PINNED)]
+        assert backwards[::-1] == pinned_rows
+
+
 def acceptance_sentences() -> list[str]:
     """The seeded scope sentences of acceptance criterion 7."""
     rng = random.Random(20260818)
