@@ -69,9 +69,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", type=_bound,
                    default=_env("MAX_DEPTH", "200000"),
                    help="step budget per tabling solve (a word's entry, a "
-                        "finite head's frames for one subcat length), per "
-                        "attempt's match phase across all its frames, or "
-                        "per --goal query")
+                        "head's frames per subcat length), per attempt's "
+                        "match phase over all frames (a step per pairing "
+                        "tried), or per --goal query")
     p.add_argument("--max-sc-length", type=_bound,
                    default=_env("MAX_SC_LENGTH", "10"),
                    help="longest subcat list accepted; longer sentences "

@@ -7,12 +7,12 @@ adjuncts sit on the list like complements and every member is matched
 to exactly one token, so the length is derived, not guessed.  Solving
 that goal runs the stem and the recursive rules as far as the skeleton
 allows; the rules wake each other up as list structure appears,
-bottom-to-top.  A second goal then matches skeleton members against the
-remaining tokens: members left of the head in reverse list order,
-cluster verbs right of the head in list order, one token per member.
-Matching a cluster verb applies that verb's own lexical entry to the
-member in place, which binds the next lower subcat list and wakes the
-next round of delayed rules.
+bottom-to-top.  The match phase then pairs skeleton members with the
+remaining tokens, one token per member, taking the members in reverse
+list order: tokens left of the head front-to-back, cluster verbs right
+of the head deepest-first.  Matching a cluster verb applies that verb's
+own lexical entry to the member in place, which binds the next lower
+subcat list and wakes the next round of delayed rules.
 
 An answer counts as a derivation only if nothing is left suspended:
 a parse conditional on an unapplied lexical rule is no parse.
@@ -27,7 +27,7 @@ own Engine and under its trace hook.  Each answer becomes a clause
 where `Residue` is the goals still suspended (`add_adj`, the `concat`
 of a finite or perception-verb entry, and with extraction on
 `take_one`), resolved together with `E'` so the two share variables.
-The finite entry goal and the match rules call these clauses: matching
+The finite entry goal and the match phase call these clauses: matching
 the head puts the tabled entry in place, and the residue runs again
 against the sentence's terms, driven by the same wakes as before.
 Loading source into the Program drops the table.
@@ -36,29 +36,31 @@ The finite entry goal is tabled one level up in the same way.  It
 depends only on the head word and the subcat length n (the skeleton is
 n fresh variables), so `Parser._frames` solves it once per Program and
 (word, n), with a step budget of its own, and keeps each answer that
-leaves no residue as a frame: the resolved sign and its members in
-`match_members` order.  The key is (word, n) rather than the sentence,
+leaves no residue as a frame: the resolved sign and its members in the
+order they are paired.  The key is (word, n) rather than the sentence,
 because the goal sees nothing else of it; an attempt then copies a
 frame and runs only the match phase, whose step budget spans all of the
 attempt's frames.  The frames keep the order of the answers, so the
 derivations come out in the order the nested entry and match
 enumeration gave them.  A cut-off solve records nothing.
 
-Most entry answers place adverbials and inherited arguments where no
-token of the sentence can stand, and `match_members` would find that
-out only after running cluster-verb residues.  So before the match goal
-runs, a read-only check (`_sorts_fit`) asks whether some order of the
-tokens could pair with the reversed skeleton as `match_members` pairs
-them, judging by sort alone, and skips the answer if none can.  It reads
-each token's tabled answers once per attempt, through
-`Program.candidates`: a member fits a token if some answer is not a
-record or its sort meets the member's; an unbound member fits any
+The match phase (`_pair`) pairs member k with the next left token, by
+`tabled_dependent`, or else the next right token, by `tabled_entry(T,
+nonfinite, M)`, each a live enumeration nested under the attempt's, on
+an explicit stack; each pairing tried is one step.  Most entry answers
+place adverbials and inherited arguments where no token can stand, which
+matching finds out only after running cluster-verb residues.  So a
+read-only table (`_pairings`), built backwards over the states (k, i),
+member k next and i left tokens taken, says which pairings still let
+the later members finish, judging by sort alone.  An answer whose state
+(0, 0) cannot finish is skipped, and only the pairings the table allows
+are tried.  It reads each token's tabled answers once per attempt,
+through `Program.candidates`: a member fits a token if some answer is
+not a record or its sort meets the member's; an unbound member fits any
 token.  Matching only refines a member's sort, and in a sort tree a
-failed meet stays failed under refinement, so a skipped answer could
-never have matched.  The check binds nothing, so the answers it passes,
-and their order, are those the match phase would have found anyway.  It
-reads a frame's own members, which have the sorts of the live answer,
-so a frame it skips is never copied.
+failed meet stays failed under refinement, so a pairing the table rules
+out could never have matched: the derivations and their order are
+unchanged.  A skipped frame is never copied.
 """
 
 from __future__ import annotations
@@ -72,30 +74,22 @@ from .solver import Engine, Program, Truncated
 from .terms import (NIL, Atom, Avm, ListCons, SortTable, Struct, Var,
                     copy_term, deref, make_list, resolve)
 
-# Surface matching as clauses, so it can drive the same waking machinery
-# as everything else.  The member spine comes in reverse subcat order:
-# tokens left of the head are consumed front-to-back, cluster verbs
-# deepest-first.  Each member is matched against a tabled entry.
+# `_pair` matches a word left of the head as a noun or an adverbial.
 MATCH_RULES = """
-match_members([], [], []).
-match_members([M|Ms], [T|Ls], Rs) :-
-    tabled_dependent(T, M),
-    match_members(Ms, Ls, Rs).
-match_members([M|Ms], Ls, [T|Rs]) :-
-    tabled_entry(T, nonfinite, M),
-    match_members(Ms, Ls, Rs).
-
 lexical_dependent(T, M) :- noun_entry(T, M).
 lexical_dependent(T, M) :- adverbial_entry(T, M).
 """
+
+NONFINITE = Atom("nonfinite")
+LEFT, RIGHT = 1, 2      # the ways a member may take a token, as table bits
 
 
 @dataclass
 class Derivation:
     head_index: int
     sign: object                     # resolved finite sign, structure shared
-    reading: tuple                   # canonical form of the sign's sem
-    reading_text: str
+    reading: tuple                   # canonical form of the sign's sem, and
+    reading_text: str                # its text, shared by equal readings
     members: list[dict]              # per subcat member: dir, lex, token, token_index
     cluster: list[str]               # head plus governed cluster verbs, surface order
 
@@ -148,12 +142,13 @@ class Parser:
         result = ParseResult(sentence, tokens, had_dat)
         if len(tokens) - 1 > self.max_sc_length:   # every other token is a member
             return result
+        readings: dict = {}     # one (reading, text) per distinct reading
         for h in heads:
-            result.derivations.extend(self._attempt(tokens, h))
+            result.derivations.extend(self._attempt(tokens, h, readings))
         return result
 
     # one finite-head hypothesis
-    def _attempt(self, tokens: list[str], h: int) -> list[Derivation]:
+    def _attempt(self, tokens: list[str], h: int, readings: dict) -> list[Derivation]:
         word = self.lexicon.finite_map[tokens[h]]
         left = tokens[:h]
         right = tokens[h + 1:]
@@ -169,25 +164,24 @@ class Parser:
                       for t in left]
         right_sorts = [self._answer_sorts(store, "tabled_entry", t, "nonfinite")
                        for t in reversed(right)]
-        lefts = make_list([Atom(t) for t in left])
-        rights = make_list([Atom(t) for t in reversed(right)])
+        lefts = [Atom(t) for t in left]
+        rights = [Atom(t) for t in reversed(right)]
         out: list[Derivation] = []
         reset = True            # one step budget across the attempt's frames
         m0 = store.mark()
         try:
             for frame, members in frames:
-                if not _sorts_fit(self.program.sorts, members,
-                                  left_sorts, right_sorts):
+                table = _pairings(self.program.sorts, members,
+                                  left_sorts, right_sorts)
+                if not table[0][0]:
                     continue
                 sign = copy_term(store, frame)
-                skeleton = _walk_list(sign.feats["sc"])
-                goal = Struct("match_members",
-                              (make_list(skeleton[::-1]), lefts, rights))
-                for _ in engine.prove_live([goal], reset=reset):
+                members = _walk_list(sign.feats["sc"])[::-1]
+                for _ in _pair(engine, table, members, lefts, rights, reset):
                     if store.pending_residue():
                         continue
                     resolved = resolve(store, sign)
-                    out.append(self._extract(resolved, tokens, h, left, right))
+                    out.append(self._extract(resolved, tokens, h, left, right, readings))
                 reset = False
                 store.undo_to(m0)
                 if engine.truncated:
@@ -203,7 +197,7 @@ class Parser:
     def _frames(self, engine: Engine, word: str, n: int) -> list[tuple]:
         """The finite entries of `word` with a subcat list of `n` members,
         solved once per Program: each answer that leaves no residue, as its
-        resolved sign and its members in `match_members` order."""
+        resolved sign and its members in the order they are paired."""
         frames = self.program.frames.get((word, n))
         if frames is not None:
             return frames
@@ -247,8 +241,8 @@ class Parser:
                 sorts.append(answer.sort)
         return sorts
 
-    def _extract(self, sign, tokens: list[str], h: int,
-                 left: list[str], right: list[str]) -> Derivation:
+    def _extract(self, sign, tokens: list[str], h: int, left: list[str],
+                 right: list[str], readings: dict) -> Derivation:
         members = _walk_list(sign.feats["sc"])
         lefts = [m for m in members if _feat_atom(m, "dir") == "left"]
         rights = [m for m in members if _feat_atom(m, "dir") == "right"]
@@ -269,34 +263,78 @@ class Parser:
             assert lex == tok, f"member lex {lex!r} vs token {tok!r}"
             info.append({"dir": d, "lex": lex, "token": tok,
                          "token_index": tok_index})
-        sem = sign.feats["sem"]
-        reading = canonical(sem)
+        reading = canonical(sign.feats["sem"])
+        known = readings.get(reading)
+        if known is None:
+            known = readings[reading] = (reading, canonical_text(reading))
         return Derivation(
             head_index=h,
             sign=sign,
-            reading=reading,
-            reading_text=canonical_text(reading),
+            reading=known[0],
+            reading_text=known[1],
             members=info,
             cluster=cluster_expand(sign),
         )
 
 
-def _sorts_fit(sorts: SortTable, members: list, left: list, right: list) -> bool:
-    """Could `match_members` pair `members` with the tokens in some order,
-    judging by sort alone?  Each member takes the next left token or the
-    next right token; `left` and `right` hold those tokens' answer sorts
-    in the order they are taken (None: fits any member)."""
+def _pairings(sorts: SortTable, members: list, left: list, right: list) -> list:
+    """The sort table: `table[k][i]`, member k next with i left tokens
+    taken, has LEFT set if member k may take left token i and RIGHT if it
+    may take right token k - i, judging by sort alone, so that the members
+    after it can still finish.  `left` and `right` hold the tokens' answer
+    sorts as they are taken (None: fits any member).  Row n marks the
+    finished state, so `table[0][0]` is 0 iff no order of tokens fits."""
     def fits(m, answer_sorts) -> bool:
         return (answer_sorts is None or type(m) is not Avm
                 or any(sorts.meet(m.sort, s) is not None for s in answer_sorts))
 
-    taken = {0}             # left tokens the members so far may have taken
-    for k, m in enumerate(members):
-        m = deref(m)
-        taken = ({i + 1 for i in taken if i < len(left) and fits(m, left[i])}
-                 | {i for i in taken
-                    if k - i < len(right) and fits(m, right[k - i])})
-    return bool(taken)
+    nl, nr = len(left), len(right)
+    table = [[0] * nl + [1]]            # built backwards, from row n
+    for k in range(len(members) - 1, -1, -1):
+        m, after, row = deref(members[k]), table[-1], [0] * (nl + 1)
+        for i in range(max(0, k - nr), min(k, nl) + 1):
+            if i < nl and after[i + 1] and fits(m, left[i]):
+                row[i] = LEFT
+            if k - i < nr and after[i] and fits(m, right[k - i]):
+                row[i] |= RIGHT
+        table.append(row)
+    return table[::-1]
+
+
+def _pair(engine: Engine, table: list, members: list, lefts: list,
+          rights: list, reset: bool):
+    """Yield once per full pairing that `table` allows, bindings live; each
+    pairing tried is a step (`reset`: start the budget)."""
+    store = engine.store
+
+    def answers(k: int, i: int):
+        nonlocal reset
+        tries = []
+        if table[k][i] & LEFT:
+            tries.append((Struct("tabled_dependent", (lefts[i], members[k])), i + 1))
+        if table[k][i] & RIGHT:
+            tries.append((Struct("tabled_entry",
+                                 (rights[k - i], NONFINITE, members[k])), i))
+        mark = store.mark()
+        for goal, after in tries:
+            if not engine.count_step(reset):
+                return
+            reset = False
+            for _ in engine.prove_live([goal], reset=False):
+                yield after
+            store.undo_to(mark)     # an ended enumeration leaves bindings
+            if engine.truncated:
+                return
+
+    stack = [iter((0,))]    # per member paired, a generator of next states
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
+        elif len(stack) > len(members):
+            yield
+        else:
+            stack.append(answers(len(stack) - 1, i))
 
 
 def _feat_atom(m, name: str) -> str | None:

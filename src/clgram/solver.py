@@ -263,15 +263,6 @@ class Engine:
                         watched.append(v)
         return watched or None  # every pattern has a `-`
 
-    def is_blocked_goal(self, goal) -> bool:
-        """Would this goal suspend if called right now?"""
-        goal = self.store.deref(goal)
-        if not isinstance(goal, (Atom, Struct)):
-            return False
-        key = self._goal_key(goal)
-        args = goal.args if isinstance(goal, Struct) else ()
-        return self._blocking_vars(key, args) is not None
-
     # -- proving
 
     def _prove(self, goals: list):
@@ -300,7 +291,7 @@ class Engine:
                     continue
                 if not self.program.defines(*key):
                     raise UndefinedPredicateError(f"undefined predicate {key[0]}/{key[1]}")
-                self._steps += 1
+                self._steps += 1        # `count_step`, inlined in the hot loop
                 self._total_steps += 1
                 if self._steps > self.max_depth:
                     self._truncated = True
@@ -383,6 +374,17 @@ class Engine:
             self._steps = 0
             self._truncated = False
         yield from self._prove(goals)
+
+    def count_step(self, reset: bool = False) -> bool:
+        """Count a step as a call does (`reset`: new budget); False if spent."""
+        if reset:
+            self._steps = 0
+            self._truncated = False
+        self._steps += 1
+        self._total_steps += 1
+        if self._steps > self.max_depth:
+            self._truncated = True
+        return not self._truncated
 
     @property
     def truncated(self) -> bool:

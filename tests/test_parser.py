@@ -9,6 +9,7 @@ import pytest
 
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
+from clgram.parser import LEFT, RIGHT
 from clgram import (Atom, ListCons, LimitExceededError, NoFiniteVerbError,
                     Parser, UnknownTokensError, build_program, cluster_expand,
                     corpus_source, load_corpus)
@@ -81,6 +82,20 @@ class TestJudgments:
     def test_repeated_adverb_collapses_readings(self, parser):
         result = parser.parse("dat arie vandaag vandaag bob wil kussen")
         assert (len(result.derivations), len(result.readings)) == (4, 3)
+
+    def test_equal_readings_share_one_tuple_and_text(self, parser,
+                                                      monkeypatch):
+        texts = []
+        real = clgram.parser.canonical_text
+        monkeypatch.setattr(clgram.parser, "canonical_text",
+                            lambda c: texts.append(c) or real(c))
+        result = parser.parse("dat arie bob vandaag toevallig wil kussen")
+        assert (len(result.derivations), len(texts)) == (7, 4)
+        first = {}
+        for d in result.derivations:
+            f = first.setdefault(d.reading, d)
+            assert d.reading is f.reading and d.reading_text is f.reading_text
+        assert len(first) == 4
 
 
 class TestScope:
@@ -499,9 +514,10 @@ def acceptance_sentences() -> list[str]:
 
 
 class Answers:
-    """The sort check's verdict on each entry answer, and for each
+    """The sort table's verdict on each entry answer, and for each
     derivation the answer it came from.  With `skip` off every answer
-    goes on to the match phase."""
+    goes on to the match phase, under a table that allows every
+    pairing."""
 
     def __init__(self):
         self.verdicts: list[bool] = []
@@ -509,32 +525,44 @@ class Answers:
         self.skip = True
 
 
+def every_pairing(n: int, nl: int, nr: int) -> list[list[int]]:
+    """A table for n members, nl left and nr right tokens that allows every
+    pairing the token counts allow."""
+    return [[(LEFT if i < nl else 0) | (RIGHT if k - i < nr else 0)
+             for i in range(nl + 1)] for k in range(n)] + [[0] * nl + [1]]
+
+
 @pytest.fixture
 def answers(monkeypatch):
     seen = Answers()
-    real_fit = clgram.parser._sorts_fit
+    real_table = clgram.parser._pairings
     real_extract = Parser._extract
 
-    def fit(*args):
-        seen.verdicts.append(real_fit(*args))
-        return seen.verdicts[-1] or not seen.skip
+    def table(sorts, members, left, right):
+        pairings = real_table(sorts, members, left, right)
+        seen.verdicts.append(bool(pairings[0][0]))
+        if seen.skip:
+            return pairings
+        return every_pairing(len(members), len(left), len(right))
 
     def extract(self, *args):
         seen.origin.append(len(seen.verdicts) - 1)
         return real_extract(self, *args)
-    monkeypatch.setattr(clgram.parser, "_sorts_fit", fit)
+    monkeypatch.setattr(clgram.parser, "_pairings", table)
     monkeypatch.setattr(Parser, "_extract", extract)
     return seen
 
 
 class TestSortCheck:
     """Entry answers whose members no token order can match by sort are
-    skipped before the match phase, and nothing else changes."""
+    skipped before the match phase, the match phase tries only the
+    pairings the sort table allows, and nothing else changes."""
 
     @pytest.mark.parametrize("slash", [False, True], ids=["slash_off", "slash_on"])
     def test_skips_only_answers_that_derive_nothing(self, slash, answers):
         parser = Parser(*build_program(enable_slash=slash))
-        sentences = [s for s, _ in CORPUS] + acceptance_sentences()
+        sentences = ([s for s, _ in CORPUS] + acceptance_sentences()
+                     + SCOPE_SENTENCES[:11])      # seed 101
         checked = [derivation_rows(parser.parse(s)) for s in sentences]
         answers.verdicts.clear()
         answers.origin.clear()

@@ -10,7 +10,7 @@ import pytest
 import clgram
 from clgram import (Atom, Avm, Engine, Program, Solution, SortTable, Store,
                     Struct, Truncated, UndefinedPredicateError, Var, canonical,
-                    canonical_text, make_list, resolve, unify)
+                    canonical_text, make_list, resolve)
 from clgram.fragment import fragment_source
 from clgram.reader import parse_goals
 from clgram.solver import Clause
@@ -54,14 +54,6 @@ class TestDelay:
         assert len(sols) == 1
         assert len(sols[0].residue) == 1
         assert canonical_text(canonical(sols[0].bindings["C"])).startswith("[a|")
-
-    def test_is_blocked_goal(self, program):
-        eng = Engine(program)
-        x = eng.store.new_var()
-        goal = Struct("concat", (x, make_list([Atom("b")]), eng.store.new_var()))
-        assert eng.is_blocked_goal(goal)
-        assert unify(eng.store, x, make_list([Atom("a")]))
-        assert not eng.is_blocked_goal(goal)
 
     def test_trace_shows_suspend_then_resume(self, program):
         events = []
