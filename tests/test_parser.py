@@ -6,11 +6,13 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
 from clgram.parser import LEFT, RIGHT
-from clgram import (Atom, ListCons, LimitExceededError, NoFiniteVerbError,
+from clgram import (Atom, ClgramError, ListCons, LimitExceededError, NoFiniteVerbError,
                     Parser, UnknownTokensError, build_program, cluster_expand,
                     corpus_source, load_corpus)
 
@@ -582,3 +584,93 @@ class TestSortCheck:
         answers.verdicts.clear()
         assert not parser.parse("dat wil arie slapen").grammatical
         assert answers.verdicts == [False]
+
+
+# Surface words of the packaged lexicon for the harness below; a spaced
+# surface is one token once tokenized.
+NOUNS = ["arie", "bob", "cadeautjes", "boeken", "het artikel", "de vrouwen",
+         "de voorstelling", "een uur"]
+ADVERBIALS = ["vandaag", "op tijd", "met een verrekijker", "toevallig",
+              "blijkbaar"]
+FINITE_AUX = {"wil": 0, "zou": 0, "probeerde": 0, "zag": 1}  # -> own nouns
+FINITE_MAIN = {"slaapt": 1, "slaat": 2, "kust": 2, "geeft": 3,
+               "bekijkt": 2, "duurt": 2}                     # -> nouns
+NONFINITE_AUX = ["willen", "kunnen", "moeten"]
+NONFINITE_MAIN = {"slapen": 0, "slaan": 1, "kussen": 1, "geven": 2,
+                  "bekijken": 1, "op te sturen": 1, "duren": 1}  # -> objects
+
+
+@st.composite
+def harness_sentences(draw) -> str:
+    """A sentence of at most 9 tokens: nouns and 0-3 adverbials left of a
+    finite verb and 0-3 nonfinite verbs.  Mostly a well-formed cluster
+    with the nouns its verbs want; sometimes one noun more or less, a
+    random cluster, scrambled order or no finite verb at all."""
+    head = draw(st.sampled_from([*FINITE_AUX, *FINITE_MAIN]))
+    if head in FINITE_MAIN:
+        cluster, nouns = [], FINITE_MAIN[head]
+    else:
+        main = draw(st.sampled_from(sorted(NONFINITE_MAIN)))
+        cluster = draw(st.lists(st.sampled_from(NONFINITE_AUX), max_size=2)) + [main]
+        nouns = 1 + FINITE_AUX[head] + NONFINITE_MAIN[main]
+    if draw(st.integers(0, 4)) == 4:
+        cluster = draw(st.lists(st.sampled_from([*NONFINITE_AUX, *NONFINITE_MAIN]),
+                                max_size=3))
+    nouns = max(1, nouns + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    left = draw(st.lists(st.sampled_from(NOUNS), min_size=nouns, max_size=nouns,
+                         unique=True))
+    for adv in draw(st.lists(st.sampled_from(ADVERBIALS), max_size=3)):
+        left.insert(draw(st.integers(1, len(left))), adv)
+    if draw(st.integers(0, 9)) == 9:
+        head = draw(st.sampled_from(NONFINITE_AUX))
+    words = left + [head] + cluster
+    assume(len(words) <= 9)
+    if draw(st.integers(0, 3)) == 3:
+        words = draw(st.permutations(words))
+    return "dat " + " ".join(words)
+
+
+def ground(c: tuple) -> bool:
+    """Whether a canonical form holds no variable."""
+    kind = c[0]
+    if kind == "cons":
+        return ground(c[1]) and ground(c[2])
+    if kind == "struct":
+        return all(map(ground, c[2]))
+    if kind == "avm":
+        return all(ground(v) for _, v in c[2])
+    return kind != "var"
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    parser = Parser(*build_program())
+    for sentence, _ in CORPUS:
+        parser.parse(sentence)
+    return parser
+
+
+class TestDerivationHarness:
+    """Drawn sentences, scrambled and of the wrong arity among them: the
+    oracle's counts and readings, ground readings, typed errors, and the
+    same rows from a fresh Program as from one warmed by other
+    sentences."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(sentence=harness_sentences())
+    def test_drawn_sentence(self, warmed, sentence):
+        program, lexicon = build_program()
+        try:
+            fresh = Parser(program, lexicon).parse(sentence)
+        except ClgramError as e:
+            with pytest.raises(type(e)):
+                warmed.parse(sentence)
+            return
+        tokens, _ = lexicon.tokenize(sentence)
+        count, readings = oracle_parse(lexicon, tokens)
+        assert len(fresh.derivations) == count
+        assert Counter(d.reading for d in fresh.derivations) == readings
+        assert all(ground(r) for r in fresh.readings)
+        assert derivation_rows(warmed.parse(sentence)) == derivation_rows(fresh)
