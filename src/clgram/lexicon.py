@@ -15,11 +15,15 @@ complement and inherit its subcat list, linking their subject's index
 to the complement's subject (control).  Perception verbs (aci) inherit
 the complement's subcat list plus its subject as a realized argument.
 
-`install` declares each soa sort under the grammar's `soa` and adds the
-entries' clauses (stem/2, finite_form/2, nonfinite_ok/1, noun_entry/2,
-adverbial_entry/2) to a Program, copied from shapes read once per kind
-of entry.  `compile` writes the same sorts and clauses as source text:
-the reference install is tested against, not a step of it.
+`install` checks the entries, declares each soa sort under the grammar's
+`soa`, and adds the entries' clauses (stem/2, finite_form/2,
+nonfinite_ok/1, noun_entry/2, adverbial_entry/2) to a Program as one
+`solver.Words` per predicate, so every error is raised there but no
+clause is made.  A word's clause is made the first time a goal names
+the word (or asks for every clause of its predicate), copied from a
+shape read once per kind of entry; a sentence uses a few of a large
+lexicon's words.  `compile` writes the same sorts and clauses as source
+text: the reference install is tested against, not a step of it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, replace
 
 from .errors import LexiconError
 from .reader import parse_source
-from .solver import Clause, source_digest
+from .solver import Clause, Words, source_digest
 from .terms import Atom, Avm, ListCons, SortTable, Struct, Var
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -291,8 +295,10 @@ class Lexicon:
 
     def install(self, program) -> None:
         """Declare the soa sorts on `program` and add the clauses `compile`'s
-        text reads as, each `_fill`ed from a shape read once per kind of
-        entry (`_slot`).  Installing the same lexicon text twice adds nothing."""
+        text reads as, one `Words` per predicate: no clause is made here.
+        A word's clause is `_fill`ed from the shape of its kind of entry
+        (`_slot`), read once, when a goal first names the word.  Installing
+        the same lexicon text twice adds nothing."""
         if self.digest in program.loaded:
             return
         sorts = program.sorts
@@ -303,19 +309,29 @@ class Lexicon:
         for soa in dict.fromkeys(e.soa for e in named):
             sorts.declare(soa, "soa")
         shapes: dict = {}
-        clauses: list[Clause] = []
-        for e in (*self.verbs.values(), *self.nouns.values(), *self.advs.values()):
-            slot, names = _slot(e)
-            if slot not in shapes:
-                items = parse_source("\n".join(self._texts(slot)), sorts, "<lexicon shapes>")
-                shapes[slot] = [item[1:3] for item in items]
-            clauses += [_fill(shape, names, sorts, getattr(e, "soa", None),
-                              f"{self.path or '<lexicon>'}:{e.line}")
-                        for shape in shapes[slot]]
-        program.add_clauses(clauses, self.digest)
-        for name, arity in (("stem", 2), ("finite_form", 2), ("nonfinite_ok", 1),
-                            ("noun_entry", 2), ("adverbial_entry", 2)):
-            program.ensure_predicate(name, arity)
+        where = self.path or "<lexicon>"
+
+        def make(name: str, entries: dict):
+            def clause(word: str) -> Clause:
+                e = entries[word]
+                slot, names = _slot(e)
+                if slot not in shapes:
+                    items = parse_source("\n".join(self._texts(slot)), sorts,
+                                         "<lexicon shapes>")
+                    shapes[slot] = {item[1].name: item[1:3] for item in items}
+                return _fill(shapes[slot][name], names, sorts, getattr(e, "soa", None),
+                             f"{where}:{e.line}")
+            return clause
+        verbs = self.verbs
+        program.add_clauses([
+            Words(("stem", 2), verbs, make("stem", verbs)),
+            Words(("finite_form", 2), [w for w, v in verbs.items() if v.finite],
+                  make("finite_form", verbs)),
+            Words(("nonfinite_ok", 1), [w for w, v in verbs.items() if v.nonfinite],
+                  make("nonfinite_ok", verbs)),
+            Words(("noun_entry", 2), self.nouns, make("noun_entry", self.nouns)),
+            Words(("adverbial_entry", 2), self.advs, make("adverbial_entry", self.advs)),
+        ], self.digest)
 
     # -- tokenization
 

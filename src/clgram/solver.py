@@ -92,6 +92,32 @@ class Clause:
         return f"Clause({name}/{arity} at {self.pos})"
 
 
+class Words:
+    """The clauses of the predicate `key`, one per word, each made by
+    `make(word)` the first time a goal names the word as first argument
+    (`Program.candidates`), and kept."""
+
+    __slots__ = ("key", "names", "make", "made")
+
+    def __init__(self, key: tuple[str, int], words, make):
+        self.key = key
+        self.names = dict.fromkeys(words)
+        self.make = make
+        self.made: dict[str, Clause] = {}
+
+    def __len__(self):
+        return len(self.names)
+
+    def clause(self, word: str) -> Clause:
+        c = self.made.get(word)
+        if c is None:
+            c = self.made[word] = self.make(word)
+        return c
+
+    def clauses(self) -> list[Clause]:
+        return [self.clause(w) for w in self.names]
+
+
 def _index_key(t):
     """First-argument index key; None means `matches anything`."""
     tp = type(t)
@@ -115,6 +141,9 @@ class Program:
     def __init__(self, sorts: SortTable | None = None):
         self.sorts = sorts if sorts is not None else SortTable()
         self._clauses: dict[tuple[str, int], list[Clause]] = {}
+        # predicates with `Words` not yet made whole: their clauses in order,
+        # as lists of clauses between the `Words`
+        self._unfilled: dict[tuple[str, int], list] = {}
         self._blocks: dict[tuple[str, int], BlockSpec] = {}
         # digests of the sources whose clauses were added
         self.loaded: set[str] = set()
@@ -150,10 +179,11 @@ class Program:
             clauses.append(Clause(head, body, pos))
         self.add_clauses(clauses, digest)
 
-    def add_clauses(self, clauses: list[Clause], digest: str) -> None:
+    def add_clauses(self, clauses: list, digest: str) -> None:
         """Append `clauses` to their predicates, in order, and record their
-        source's `digest`.  Tables and frames may rest on any clause, so
-        they are emptied."""
+        source's `digest`.  An item may be `Words`, standing for its
+        clauses.  Tables and frames may rest on any clause, so they are
+        emptied."""
         self.loaded.add(digest)
         self._filtered.clear()
         for pred in set(self._tabled.values()):
@@ -161,14 +191,25 @@ class Program:
         self._tabled.clear()
         self.frames.clear()
         for c in clauses:
+            if type(c) is Words:
+                parts = self._unfilled.get(c.key)
+                if parts is None:
+                    parts = self._unfilled[c.key] = [self._clauses.pop(c.key, [])]
+                parts += (c, [])
+                continue
             head = c.head
             key = (head.name, len(head.args) if type(head) is Struct else 0)
-            self._clauses.setdefault(key, []).append(c)
+            parts = self._unfilled.get(key)
+            if parts is None:
+                self._clauses.setdefault(key, []).append(c)
+            else:
+                parts[-1].append(c)
 
     def ensure_predicate(self, name: str, arity: int) -> None:
         """Register a predicate with no clauses yet, so calling it fails
         instead of raising."""
-        self._clauses.setdefault((name, arity), [])
+        if not self.defines(name, arity):
+            self._clauses[name, arity] = []
 
     def tabled(self, key: tuple) -> bool:
         return key in self._tabled
@@ -176,20 +217,31 @@ class Program:
     def add_table(self, key: tuple, pred: tuple[str, int],
                   clauses: list[Clause]) -> None:
         """Record the answers to the tabled goal `key` as `clauses` of the
-        predicate `pred`."""
+        predicate `pred`, which holds table answers only: each clause's
+        first argument is the goal's first argument, `key[1]`."""
         self._clauses.setdefault(pred, []).extend(clauses)
-        if clauses:  # a filter cached for their first argument is stale
-            self._filtered.pop((pred, clauses[0].index_key), None)
+        # a new list, as a live choicepoint may hold the cached one
+        k = (pred, _index_key(key[1]))
+        self._filtered[k] = self._filtered.get(k, []) + clauses
         self._tabled[key] = pred
 
     def defines(self, name: str, arity: int) -> bool:
-        return (name, arity) in self._clauses
+        return (name, arity) in self._clauses or (name, arity) in self._unfilled
 
     def block_spec(self, name: str, arity: int) -> BlockSpec | None:
         return self._blocks.get((name, arity))
 
     def candidates(self, key: tuple[str, int], store: Store, args: tuple) -> list[Clause]:
-        clauses = self._clauses[key]
+        """The clauses of predicate `key` that may match a goal with
+        arguments `args`, in clause order: those whose first argument has
+        the goal's first-argument key or is a variable.  A predicate with
+        at most one clause, or a goal with no first argument or an unbound
+        one, gets every clause.  A word of `Words` has its clause made when
+        a goal first names it, or when every clause is asked for."""
+        try:
+            clauses = self._clauses[key]
+        except KeyError:
+            return self._unfilled_candidates(key, store, args)
         if len(clauses) <= 1 or not args:
             return clauses
         g = _index_key(store.deref(args[0]))
@@ -199,6 +251,26 @@ class Program:
         if out is None:
             out = self._filtered[key, g] = [
                 c for c in clauses if c.index_key is None or c.index_key == g]
+        return out
+
+    def _unfilled_candidates(self, key, store, args) -> list[Clause]:
+        parts = self._unfilled[key]
+        g = _index_key(store.deref(args[0])) if args else None
+        if g is None or sum(map(len, parts)) <= 1:
+            del self._unfilled[key]
+            clauses = self._clauses[key] = [
+                c for part in parts
+                for c in (part if type(part) is list else part.clauses())]
+            return clauses
+        out = self._filtered.get((key, g))
+        if out is None:
+            out = []
+            for part in parts:
+                if type(part) is list:
+                    out += [c for c in part if c.index_key is None or c.index_key == g]
+                elif g[0] == "atom" and g[1] in part.names:
+                    out.append(part.clause(g[1]))
+            self._filtered[key, g] = out
         return out
 
 

@@ -1,11 +1,15 @@
 """The lexicon's clauses, checked against the grammar-language text that
-`Lexicon.compile` writes for it."""
+`Lexicon.compile` writes for it, and made only when a goal names a word."""
+
+import json
 
 import pytest
 
-from clgram import (Avm, Lexicon, LexiconError, ListCons, Parser, Program, Struct, Var,
-                    build_program, canonical, canonical_text, fragment_source,
-                    lexicon_source)
+import clgram.lexicon
+from clgram import (Atom, Avm, Lexicon, LexiconError, ListCons, Parser, Program, Store,
+                    Struct, Var, build_program, canonical, canonical_text,
+                    fragment_source, lexicon_source)
+from clgram.cli import main
 
 PREDICATES = [("stem", 2), ("finite_form", 2), ("nonfinite_ok", 1),
               ("noun_entry", 2), ("adverbial_entry", 2)]
@@ -44,11 +48,25 @@ def read_back(lexicon: Lexicon) -> Program:
     return program
 
 
+def rows(clauses) -> list:
+    return [(canonical_text(canonical(Struct(":-", (c.head,) + c.body))), c.index_key)
+            for c in clauses]
+
+
+def every_clause(program: Program, key: tuple) -> list:
+    """Every clause of the predicate `key`, in order: the whole-predicate
+    request, which makes any clause not made yet."""
+    return program.candidates(key, Store(program.sorts), ())
+
+
+def naming(program: Program, key: tuple, word: str) -> list:
+    """The candidates for a goal of `key` whose first argument is `word`."""
+    args = (Atom(word),) + tuple(Var() for _ in range(key[1] - 1))
+    return program.candidates(key, Store(program.sorts), args)
+
+
 def clause_rows(program: Program) -> dict:
-    return {key: [(canonical_text(canonical(Struct(":-", (c.head,) + c.body))),
-                   c.index_key)
-                  for c in program._clauses[key]]
-            for key in PREDICATES}
+    return {key: rows(every_clause(program, key)) for key in PREDICATES}
 
 
 def sort_rows(program: Program) -> list:
@@ -88,13 +106,52 @@ class TestInstall:
         nodes: list = []
         owner: dict = {}
         for key in PREDICATES:
-            for clause in program._clauses[key]:
+            for clause in every_clause(program, key):
                 variables: set = set()
                 for t in (clause.head,) + clause.body:
                     occurrences(t, nodes, variables)
                 for v in variables:
                     assert owner.setdefault(v, clause) is clause
         assert len(nodes) == len(set(nodes))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["lexicon_order", "reversed"])
+    def test_each_word_gets_the_clauses_of_the_compiled_text(self, lexicon, order):
+        program, reference = installed(lexicon), read_back(lexicon)
+        words = [*lexicon.verbs, *lexicon.nouns, *lexicon.advs, "zz_absent"]
+        for word in words[::order]:
+            for key in PREDICATES:
+                assert rows(naming(program, key, word)) == \
+                    rows(naming(reference, key, word)), (key, word)
+        assert clause_rows(program) == clause_rows(reference)
+
+    @pytest.mark.parametrize("text, sentence", [
+        (lexicon_source(), "dat arie bob vandaag wil kussen"),
+        (EVERY_SHAPE, "dat ann today the box wants hit"),
+    ], ids=["packaged", "every_shape"])
+    def test_every_clause_after_a_parse(self, text, sentence):
+        lexicon = Lexicon(text)
+        program = installed(lexicon)
+        assert Parser(program, lexicon).parse(sentence).grammatical
+        for key in PREDICATES:
+            goal = (Var(),) + tuple(Var() for _ in range(key[1] - 1))
+            assert rows(program.candidates(key, Store(program.sorts), goal)) == \
+                rows(every_clause(read_back(lexicon), key))
+
+    def test_a_repeated_word_follows_the_first_lexicon(self):
+        first = Lexicon(lexicon_source())
+        second = Lexicon("arie\tnoun\tindex=arie_too\n"
+                         "slapen\tverb\tframe=iv soa=doze_soa roles=dozer phon=doze\n")
+        program = installed(first)
+        naming(program, ("noun_entry", 2), "arie")      # made before the second
+        second.install(program)
+        reference = read_back(first)
+        reference.load(second.compile(), "<second>")
+        for word in ("arie", "bob", "slapen", "kussen"):
+            for key in PREDICATES:
+                assert rows(naming(program, key, word)) == \
+                    rows(naming(reference, key, word)), (key, word)
+        assert len(naming(program, ("stem", 2), "slapen")) == 2
+        assert clause_rows(program) == clause_rows(reference)
 
     def test_installing_twice_adds_nothing(self, lexicon):
         program = installed(lexicon)
@@ -108,9 +165,80 @@ class TestInstall:
         assert program.frames
         extra = Lexicon("zzann\tnoun\n"
                         "zzslapen\tverb\tframe=iv soa=zz_soa roles=a phon=zzslaap\n")
+        assert program.tabled(("tabled_entry", Atom("wil"), Atom("finite")))
         extra.install(program)
         assert not program.frames
+        assert not program.tabled(("tabled_entry", Atom("wil"), Atom("finite")))
         assert Parser(program, extra).parse("dat zzann zzslaapt").grammatical
+
+
+# a few hundred lines: 100 nouns, 100 transitive verbs, 100 adverbials
+MANY = "".join(f"zzn{i}\tnoun\n" for i in range(100)) + "".join(
+    f"zzv{i}\tverb\tframe=tv soa=zzv{i}_soa roles=a,b\n" for i in range(100)) + "".join(
+    f"zza{i}\tadv-restr\n" for i in range(100))
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The (predicate, word) of each clause the lexicon makes."""
+    out = []
+    real = clgram.lexicon._fill
+
+    def fill(*args):
+        clause = real(*args)
+        out.append((clause.head.name, clause.head.args[0].name))
+        return clause
+    monkeypatch.setattr(clgram.lexicon, "_fill", fill)
+    return out
+
+
+class TestLazyFill:
+    """Install makes no clause; a word's clause of a predicate is made the
+    first time a goal of that predicate names the word."""
+
+    def test_a_parse_makes_only_the_clauses_its_goals_name(self, made):
+        program, lexicon = build_program(lexicon_text=lexicon_source() + MANY)
+        assert made == []
+        assert Parser(program, lexicon).parse("dat zzn3 zza5 zzn7 wil zzv9").grammatical
+        assert sorted(made) == sorted([
+            ("noun_entry", "zzn3"), ("noun_entry", "zzn7"),
+            ("adverbial_entry", "zza5"),
+            ("stem", "wil"), ("finite_form", "wil"),
+            ("stem", "zzv9"), ("nonfinite_ok", "zzv9")])
+        reference = read_back(lexicon)
+        for name, word in made:
+            key = (name, 1 if name == "nonfinite_ok" else 2)
+            assert rows(naming(program, key, word)) == rows(naming(reference, key, word))
+        assert len(made) == 7          # each made once
+
+    def test_a_whole_predicate_is_made_once_in_lexicon_order(self, made):
+        lexicon = Lexicon(lexicon_source() + MANY)
+        program = installed(lexicon)
+        naming(program, ("stem", 2), "zzv7")
+        stems = every_clause(program, ("stem", 2))
+        assert [c.head.args[0].name for c in stems] == list(lexicon.verbs)
+        assert made.count(("stem", "zzv7")) == 1
+        assert len(made) == len(lexicon.verbs)
+        assert every_clause(program, ("stem", 2)) is stems
+
+    def test_making_a_clause_drops_no_table(self, made):
+        program, lexicon = build_program()
+        assert Parser(program, lexicon).parse("dat arie wil slapen").grammatical
+        frames = dict(program.frames)
+        naming(program, ("stem", 2), "kussen")
+        every_clause(program, ("noun_entry", 2))
+        assert ("stem", "kussen") in made
+        assert program.frames == frames
+        assert program.tabled(("tabled_entry", Atom("wil"), Atom("finite")))
+
+    def test_trace_goal_lists_every_stem(self, capsys, tmp_path):
+        path = tmp_path / "many.tsv"
+        path.write_text(lexicon_source() + MANY)
+        assert main(["trace", "--lexicon", str(path), "--goal", "stem(W, S).",
+                     "--format", "json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        words = [r["bindings"]["W"]["atom"] for r in records if r["event"] == "solution"]
+        assert words == list(Lexicon(lexicon_source() + MANY).verbs)
 
 
 class TestErrors:

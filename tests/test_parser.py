@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
 from clgram.parser import LEFT, RIGHT
-from clgram import (Atom, ClgramError, ListCons, LimitExceededError, NoFiniteVerbError,
-                    Parser, UnknownTokensError, build_program, cluster_expand,
-                    corpus_source, load_corpus)
+from clgram import (Atom, ClgramError, Engine, ListCons, LimitExceededError,
+                    NoFiniteVerbError, Parser, Struct, UnknownTokensError, Var,
+                    build_program, cluster_expand, corpus_source, load_corpus)
 
 CORPUS = load_corpus(corpus_source())
 
@@ -348,6 +348,28 @@ class TestEntryTable:
         fresh = Parser(*build_program(enable_slash=True))
         assert after == [derivation_rows(fresh.parse(s)) for s in sentences]
         assert after != before
+
+    def test_tabling_a_word_extends_its_candidates(self):
+        program, _ = build_program()
+        engine = Engine(program)
+        store = engine.store
+        key = ("tabled_entry", 3)
+
+        def candidates(word):
+            return program.candidates(key, store, (Atom(word), Var(), Var()))
+        held = []
+        for word, form in (("kussen", "finite"), ("slapen", "finite"),
+                           ("kussen", "nonfinite")):
+            assert engine.table("tabled_entry", Struct(
+                "lexical_entry", (Atom(word), Atom(form), Var("E"))))
+            every = program.candidates(key, store, ())
+            for w in ("kussen", "slapen"):       # as a fresh scan gives them
+                assert candidates(w) == (every if len(every) <= 1 else [
+                    c for c in every if c.index_key in (None, ("atom", w))])
+            held.append((candidates("kussen"), list(candidates("kussen"))))
+        (_, finite), (second, copy), (third, both) = held
+        assert second == copy == finite     # a list handed out never changes
+        assert len(third) > len(second) and third[:len(second)] == second
 
     def test_parsers_share_one_table(self, program, lexicon):
         sentence = "dat arie bob vandaag toevallig wil kussen"
