@@ -18,7 +18,7 @@ the complement's subcat list plus its subject as a realized argument.
 `install` checks the entries, declares each soa sort under the grammar's
 `soa`, and adds the entries' clauses (stem/2, finite_form/2,
 nonfinite_ok/1, noun_entry/2, adverbial_entry/2) to a Program as one
-`solver.Words` per predicate, so every error is raised there but no
+`solver.Words` per predicate: every lexicon error is raised there, yet no
 clause is made.  A word's clause is made the first time a goal names
 the word (or asks for every clause of its predicate), copied from a
 shape read once per kind of entry; a sentence uses a few of a large

@@ -136,7 +136,8 @@ def _index_key(t):
 
 
 class Program:
-    """Sorts, clauses and block declarations, from source text or `add_clauses`."""
+    """Sorts, clauses and block declarations, from source text or
+    `add_clauses`.  The clauses of a `Words` are made by `candidates`."""
 
     def __init__(self, sorts: SortTable | None = None):
         self.sorts = sorts if sorts is not None else SortTable()
@@ -257,10 +258,10 @@ class Program:
         parts = self._unfilled[key]
         g = _index_key(store.deref(args[0])) if args else None
         if g is None or sum(map(len, parts)) <= 1:
+            clauses = [c for part in parts
+                       for c in (part if type(part) is list else part.clauses())]
             del self._unfilled[key]
-            clauses = self._clauses[key] = [
-                c for part in parts
-                for c in (part if type(part) is list else part.clauses())]
+            self._clauses[key] = clauses
             return clauses
         out = self._filtered.get((key, g))
         if out is None:
