@@ -127,7 +127,7 @@ class Lexicon:
             if v.finite is not None:
                 if v.finite in self.finite_map:
                     raise LexiconError(
-                        f"finite surface {v.finite!r} belongs to both "
+                        f"line {v.line}: finite surface {v.finite!r} belongs to both "
                         f"{self.finite_map[v.finite]!r} and {v.word!r}")
                 self.finite_map[v.finite] = v.word
         self.vocabulary: set[str] = set(self.nouns) | set(self.advs) | set(self.finite_map)

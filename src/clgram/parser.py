@@ -20,10 +20,10 @@ a parse conditional on an unapplied lexical rule is no parse.
 Everything a word's entry does before its first suspension is the same
 in every sentence, so it is derived once per Program and tabled
 (Johnson and Dörre, "Memoization of coroutined constraints", ACL 1995).
-The first time an attempt needs a word, `lexical_entry(W, Form, E)` or
-`lexical_dependent(W, E)` is solved with `E` unbound, on the attempt's
-own Engine and under its trace hook.  Each answer becomes a clause
-`tabled_entry(W, Form, E') :- Residue` (or `tabled_dependent(W, E')`),
+The first time an attempt needs a word, `Engine.table` solves
+`lexical_entry(W, Form, E)` or `lexical_dependent(W, E)`, `E` unbound,
+on the attempt's Engine and under its trace hook, and keeps each answer
+as a clause `tabled_entry(W, Form, E') :- Residue` (or `tabled_dependent(W, E')`),
 where `Residue` is the goals still suspended (`add_adj`, the `concat`
 of a finite or perception-verb entry, and with extraction on
 `take_one`), resolved together with `E'` so the two share variables.
@@ -32,16 +32,15 @@ the head puts the tabled entry in place, and the residue runs again
 against the sentence's terms, driven by the same wakes as before.
 Loading source into the Program drops the table.
 
-The finite entry goal is tabled one level up in the same way.  It
+The finite entry goal is tabled one level up, in the same table.  It
 depends only on the head word and the subcat length n (the skeleton is
-n fresh variables), so `Parser._frames` solves it once per Program and
-(word, n), with a step budget of its own, and keeps each answer that
-leaves no residue as a frame: the resolved sign and its members in the
-order they are paired.  The key is (word, n) rather than the sentence,
-because the goal sees nothing else of it; an attempt then copies a
-frame and runs only the match phase, whose step budget spans all of the
-attempt's frames.  The frames keep the order of the answers, so the
-derivations come out in the order the nested entry and match
+n fresh variables), so `Parser._frames` tables it under (word, n), not
+the sentence, as clauses `tabled_frame(W, finite, Sign) :- Residue`
+that nothing calls; an answer that leaves no residue is a frame.  An
+attempt copies a frame (`copy_term`) and runs only the match phase,
+whose step budget spans all of the attempt's frames; each tabling solve
+has a budget of its own.  The frames keep the order of the answers, so
+the derivations come out in the order the nested entry and match
 enumeration gave them.  A cut-off solve records nothing.
 
 The match phase (`_pair`) pairs member k with the next left token, by
@@ -54,8 +53,8 @@ read-only table (`_pairings`), built backwards over the states (k, i),
 member k next and i left tokens taken, says which pairings still let
 the later members finish, judging by sort alone.  An answer whose state
 (0, 0) cannot finish is skipped, and only the pairings the table allows
-are tried.  It reads each token's tabled answers once per attempt,
-through `Program.candidates`: a member fits a token if some answer is
+are tried.  It reads each token's tabled answers once per attempt, as
+`Engine.table` returned them: a member fits a token if some answer is
 not a record or its sort meets the member's; an unbound member fits any
 token.  Matching only refines a member's sort, and in a sort tree a
 failed meet stays failed under refinement, so a pairing the table rules
@@ -70,7 +69,7 @@ from dataclasses import dataclass, field
 from .errors import LimitExceededError, NoFiniteVerbError, UnknownTokensError
 from .lexicon import Lexicon
 from .render import canonical, canonical_text
-from .solver import Engine, Program, Truncated
+from .solver import Engine, Program
 from .terms import (NIL, Atom, Avm, ListCons, SortTable, Struct, Var,
                     copy_term, deref, make_list, resolve)
 
@@ -80,7 +79,9 @@ lexical_dependent(T, M) :- noun_entry(T, M).
 lexical_dependent(T, M) :- adverbial_entry(T, M).
 """
 
-NONFINITE = Atom("nonfinite")
+FINITE, NONFINITE = Atom("finite"), Atom("nonfinite")
+# the predicates that hold the table's answers: entries, and finite frames
+ENTRY, DEPENDENT, FRAME = ("tabled_entry", 3), ("tabled_dependent", 2), ("tabled_frame", 3)
 LEFT, RIGHT = 1, 2      # the ways a member may take a token, as table bits
 
 
@@ -153,25 +154,28 @@ class Parser:
         left = tokens[:h]
         right = tokens[h + 1:]
         engine = Engine(self.program, max_depth=self.max_depth, trace=self.trace)
-        self._table(engine, "tabled_entry", "lexical_entry", word, "finite")
-        for t in left:
-            self._table(engine, "tabled_dependent", "lexical_dependent", t)
-        for t in right:
-            self._table(engine, "tabled_entry", "lexical_entry", t, "nonfinite")
-        frames = self._frames(engine, word, len(tokens) - 1)
+        self._table(engine, ENTRY, Struct(
+            "lexical_entry", (Atom(word), FINITE, Var("Entry"))))
+        left_answers = [self._table(engine, DEPENDENT, Struct(
+            "lexical_dependent", (Atom(t), Var("Entry")))) for t in left]
+        right_answers = [self._table(engine, ENTRY, Struct(
+            "lexical_entry", (Atom(t), NONFINITE, Var("Entry")))) for t in right]
+        answers = self._frames(engine, word, len(tokens) - 1)
         store = engine.store
-        left_sorts = [self._answer_sorts(store, "tabled_dependent", t)
-                      for t in left]
-        right_sorts = [self._answer_sorts(store, "tabled_entry", t, "nonfinite")
-                       for t in reversed(right)]
+        left_sorts = [_answer_sorts(a) for a in left_answers]
+        right_sorts = [_answer_sorts(a) for a in reversed(right_answers)]
         lefts = [Atom(t) for t in left]
         rights = [Atom(t) for t in reversed(right)]
         out: list[Derivation] = []
         reset = True            # one step budget across the attempt's frames
         m0 = store.mark()
         try:
-            for frame, members in frames:
-                table = _pairings(self.program.sorts, members,
+            for answer in answers:
+                if answer.body:         # a frame leaves no residue
+                    continue
+                frame = answer.head.args[-1]
+                table = _pairings(self.program.sorts,
+                                  _walk_list(frame.feats["sc"])[::-1],
                                   left_sorts, right_sorts)
                 if not table[0][0]:
                     continue
@@ -194,52 +198,24 @@ class Parser:
                 f"(head {tokens[h]!r})")
         return out
 
-    def _frames(self, engine: Engine, word: str, n: int) -> list[tuple]:
-        """The finite entries of `word` with a subcat list of `n` members,
-        solved once per Program: each answer that leaves no residue, as its
-        resolved sign and its members in the order they are paired."""
-        frames = self.program.frames.get((word, n))
-        if frames is not None:
-            return frames
+    def _frames(self, engine: Engine, word: str, n: int) -> list:
+        """The finite entries of `word` with `n` fresh subcat members,
+        tabled per (word, n); those that leave no residue are frames."""
         skeleton = [engine.store.new_var(f"M{i + 1}") for i in range(n)]
         sign = Avm(self.program.sorts.get("sign"),
                    {"sc": make_list(skeleton), "slash": NIL})
-        goal = Struct("tabled_entry", (Atom(word), Atom("finite"), sign))
-        frames = []
-        for sol in engine.solve([goal], var_names={"sign": sign}):
-            if isinstance(sol, Truncated):
-                raise LimitExceededError(
-                    f"step limit {self.max_depth} hit while parsing "
-                    f"(entry of {word!r} with {n} members)")
-            if not sol.residue:
-                frame = sol.bindings["sign"]
-                frames.append((frame, _walk_list(frame.feats["sc"])[::-1]))
-        self.program.frames[word, n] = frames
-        return frames
+        return self._table(engine, FRAME, Struct(
+            "tabled_entry", (Atom(word), FINITE, sign)), n)
 
-    def _table(self, engine: Engine, name: str, pred: str, *args: str) -> None:
-        """Table `pred(Args..., Entry)` as clauses of `name`, unless the
-        Program holds them already."""
-        goal = Struct(pred, tuple(Atom(a) for a in args) + (Var("Entry"),))
-        if not engine.table(name, goal):
+    def _table(self, engine: Engine, pred: tuple, goal: Struct, *extra) -> list:
+        """The answers to `goal`, tabled as clauses of `pred` under a key of
+        its atoms and `extra` (`Engine.table`)."""
+        answers = engine.table((pred,) + goal.args[:-1] + extra, goal)
+        if answers is None:
             raise LimitExceededError(
                 f"step limit {self.max_depth} hit while parsing "
-                f"(entry of {args[0]!r})")
-
-    def _answer_sorts(self, store, name: str, *args: str) -> list | None:
-        """Sorts of the tabled answers `name(Args..., Answer)`, or None if
-        some answer is not a record and so fits any member."""
-        lead = tuple(Atom(a) for a in args)
-        sorts = []
-        for c in self.program.candidates((name, len(lead) + 1), store, lead):
-            if c.head.args[:-1] != lead:
-                continue
-            answer = c.head.args[-1]
-            if type(answer) is not Avm:
-                return None
-            if answer.sort not in sorts:
-                sorts.append(answer.sort)
-        return sorts
+                f"(entry of {goal.args[0].name!r})")
+        return answers
 
     def _extract(self, sign, tokens: list[str], h: int, left: list[str],
                  right: list[str], readings: dict) -> Derivation:
@@ -275,6 +251,19 @@ class Parser:
             members=info,
             cluster=cluster_expand(sign),
         )
+
+
+def _answer_sorts(answers: list) -> list | None:
+    """Sorts of the tabled `answers`, or None if some answer is not a
+    record and so fits any member."""
+    sorts = []
+    for c in answers:
+        answer = c.head.args[-1]
+        if type(answer) is not Avm:
+            return None
+        if answer.sort not in sorts:
+            sorts.append(answer.sort)
+    return sorts
 
 
 def _pairings(sorts: SortTable, members: list, left: list, right: list) -> list:

@@ -14,13 +14,17 @@ brackets `⟨ ⟩` work too), and record literals `@sort{feat: term, ...}`.
 
 Sort declarations take effect immediately so later record literals in
 the same file can use them.  Errors carry line and column; parsing
-recovers at the next period and reports every error at once.
+recovers at the next period and reports every error at once.  Terms
+nest at most `MAX_TERM_DEPTH` levels, as the term walkers recurse; a
+flat list of any length is one level.
 """
 
 from __future__ import annotations
 
 from .errors import GrammarSyntaxError, LoadError, SortError
 from .terms import NIL, Atom, Avm, SortTable, Struct, Var, make_list
+
+MAX_TERM_DEPTH = 200
 
 _PUNCT = {"(", ")", "[", "]", "{", "}", "⟨", "⟩", ",", "|", ":", ".", "@", "<", "-", "?"}
 
@@ -95,6 +99,7 @@ class _Parser:
         self.sorts = sorts
         self.path = path
         self.vars: dict[str, Var] = {}
+        self.depth = 0          # compound terms open around the next token
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -124,6 +129,7 @@ class _Parser:
     # -- statements
 
     def statement(self):
+        self.depth = 0
         t = self.peek()
         if t.kind == "NECK":
             return self.directive()
@@ -203,24 +209,30 @@ class _Parser:
             if t.text not in self.vars:
                 self.vars[t.text] = Var(t.text)
             return self.vars[t.text]
-        if t.kind == "ATOM":
-            if self.peek().kind == "(":
-                self.next()
-                args = [self.term()]
-                while True:
-                    nt = self.next()
-                    if nt.kind == ")":
-                        break
-                    if nt.kind != ",":
-                        raise self.error("expected ',' or ')' in argument list", nt)
-                    args.append(self.term())
-                return Struct(t.text, tuple(args))
+        if t.kind == "ATOM" and self.peek().kind != "(":
             return Atom(t.text)
+        if t.kind not in ("ATOM", "@", "[", "⟨"):
+            raise self.error(f"unexpected token {t.text!r} in term", t)
+        if self.depth == MAX_TERM_DEPTH:
+            raise self.error(f"term nested deeper than {MAX_TERM_DEPTH} levels", t)
+        self.depth += 1
         if t.kind == "@":
-            return self.avm_literal(t)
-        if t.kind in ("[", "⟨"):
-            return self.list_literal(t)
-        raise self.error(f"unexpected token {t.text!r} in term", t)
+            out = self.avm_literal(t)
+        elif t.kind != "ATOM":
+            out = self.list_literal(t)
+        else:
+            self.next()
+            args = [self.term()]
+            while True:
+                nt = self.next()
+                if nt.kind == ")":
+                    break
+                if nt.kind != ",":
+                    raise self.error("expected ',' or ')' in argument list", nt)
+                args.append(self.term())
+            out = Struct(t.text, tuple(args))
+        self.depth -= 1
+        return out
 
     def avm_literal(self, at: Token):
         name = self.expect("ATOM", "sort name after '@'")
@@ -310,5 +322,4 @@ def parse_goals(text: str, sorts: SortTable) -> tuple[list, dict[str, Var]]:
                 raise p.error("unexpected text after query")
             break
         raise p.error(f"expected ',' or '.' after goal, got {t.text!r}", t)
-    named = {n: v for n, v in p.vars.items()}
-    return goals, named
+    return goals, dict(p.vars)

@@ -150,11 +150,9 @@ class Program:
         self.loaded: set[str] = set()
         # candidates per (predicate, first-argument key), in clause order
         self._filtered: dict[tuple, list[Clause]] = {}
-        # goals tabled by `Engine.table`, each with the predicate that holds
-        # its answers as template clauses
-        self._tabled: dict[tuple, tuple[str, int]] = {}
-        # the parser's finite entry frames per (word, subcat length)
-        self.frames: dict[tuple[str, int], list] = {}
+        # the answer clauses of each goal tabled by `Engine.table`, by key;
+        # a key's first item is the predicate that holds the answers
+        self.table: dict[tuple, list[Clause]] = {}
 
     def load(self, text: str, path: str | None = None) -> None:
         digest = source_digest(text)
@@ -183,14 +181,13 @@ class Program:
     def add_clauses(self, clauses: list, digest: str) -> None:
         """Append `clauses` to their predicates, in order, and record their
         source's `digest`.  An item may be `Words`, standing for its
-        clauses.  Tables and frames may rest on any clause, so they are
-        emptied."""
+        clauses.  A table's answers may rest on any clause, so the table
+        and the predicates that hold its answers are emptied."""
         self.loaded.add(digest)
         self._filtered.clear()
-        for pred in set(self._tabled.values()):
-            self._clauses[pred] = []
-        self._tabled.clear()
-        self.frames.clear()
+        for key in self.table:
+            self._clauses[key[0]] = []
+        self.table.clear()
         for c in clauses:
             if type(c) is Words:
                 parts = self._unfilled.get(c.key)
@@ -212,19 +209,16 @@ class Program:
         if not self.defines(name, arity):
             self._clauses[name, arity] = []
 
-    def tabled(self, key: tuple) -> bool:
-        return key in self._tabled
-
-    def add_table(self, key: tuple, pred: tuple[str, int],
-                  clauses: list[Clause]) -> None:
-        """Record the answers to the tabled goal `key` as `clauses` of the
-        predicate `pred`, which holds table answers only: each clause's
-        first argument is the goal's first argument, `key[1]`."""
-        self._clauses.setdefault(pred, []).extend(clauses)
-        # a new list, as a live choicepoint may hold the cached one
-        k = (pred, _index_key(key[1]))
-        self._filtered[k] = self._filtered.get(k, []) + clauses
-        self._tabled[key] = pred
+    def add_table(self, key: tuple, clauses: list[Clause]) -> None:
+        """Keep `clauses`, the answers `Engine.table` found under `key`, in
+        the table and as clauses of the predicate `key[0]`, which holds
+        table answers only; one key's answers share an atom first argument.
+        The key must tell apart any two goals whose answers may differ."""
+        self.table[key] = clauses
+        self._clauses.setdefault(key[0], []).extend(clauses)
+        if clauses:     # a new list, as a live choicepoint may hold the cached one
+            k = (key[0], clauses[0].index_key)
+            self._filtered[k] = self._filtered.get(k, []) + clauses
 
     def defines(self, name: str, arity: int) -> bool:
         return (name, arity) in self._clauses or (name, arity) in self._unfilled
@@ -415,26 +409,28 @@ class Engine:
         if self._truncated:
             yield Truncated(self._total_steps)
 
-    def table(self, name: str, goal: Struct) -> bool:
-        """Solve `goal`, whose last argument is an unbound variable and
-        whose other arguments are atoms, once per Program.  Each answer is
-        kept as a template clause `name(Args..., Answer) :- Residue`, with
-        the answer and the goals it left suspended resolved together, so
-        they share variables.  A call of `name` with the same leading
-        arguments then matches an answer in place instead of deriving it
-        again, and runs its residue as the clause body.  Returns False,
-        adding nothing, if the step budget cut the solve off."""
-        key = (name,) + goal.args[:-1]
-        if self.program.tabled(key):
-            return True
-        clauses = []
+    def table(self, key: tuple, goal: Struct) -> list[Clause] | None:
+        """The answers to `goal`, solved once per Program and `key`.  The
+        goal's leading arguments are atoms and its last is unbound or
+        partly built, so the key must tell apart any two goals whose
+        answers may differ: a word's entry per form, a head's frames per
+        subcat length.  Each answer is kept as a clause `name(Atoms...,
+        Answer) :- Residue` of the predicate `key[0]`, `(name, arity)`,
+        resolved with the goals it left suspended; a call of `name` then
+        matches it in place and runs the residue.  Returns None, keeping
+        nothing, if the step budget cut the solve off."""
+        answers = self.program.table.get(key)
+        if answers is not None:
+            return answers
+        name = key[0][0]
+        pos, answers = f"<table {name}>", []
         for sol in self.solve([goal], var_names={"answer": goal.args[-1]}):
             if isinstance(sol, Truncated):
-                return False
+                return None
             head = Struct(name, goal.args[:-1] + (sol.bindings["answer"],))
-            clauses.append(Clause(head, tuple(sol.residue), f"<table {name}>"))
-        self.program.add_table(key, (name, len(goal.args)), clauses)
-        return True
+            answers.append(Clause(head, tuple(sol.residue), pos))
+        self.program.add_table(key, answers)
+        return answers
 
     def prove_live(self, goals: list, reset: bool = True):
         """Low-level enumeration: yields None per answer with bindings

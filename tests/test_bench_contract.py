@@ -1,13 +1,16 @@
 """The benchmark tracer (bench/tracer.py) patches clgram by attribute
-name; every attribute it wraps must still exist where it looks, and what
-it counts must not depend on how far the lexicon's clauses are made."""
+name; every attribute it wraps must still exist where it looks, what it
+counts must not depend on how far the lexicon's clauses are made, and it
+must see every tabling solve."""
 
 import sys
 from pathlib import Path
 
 import clgram.parser
 import clgram.solver
-from clgram import Lexicon, Parser, build_program, fragment_source, lexicon_source
+from clgram import (Atom, Lexicon, Parser, build_program, fragment_source,
+                    lexicon_source)
+from clgram.parser import DEPENDENT, ENTRY, FRAME
 from clgram.solver import Engine, Program
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -65,5 +68,34 @@ def test_tracer_counts_a_lazily_made_lexicon_in_full(monkeypatch):
     assert t.counts["call"] > 0 and t.counts["attempts"] == 1
     assert t.counts["candidates_defined"] == sum(defined)
     assert t.counts["candidates_returned"] == sum(returned)
+    for name in ("tracer", "workloads", "gen"):
+        sys.modules.pop(name, None)
+
+
+def test_tracer_sees_tabling_as_solver_solve_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+    solve = tracer.NAMES.index("solver.solve")
+    program, lexicon = build_program()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        parser = Parser(program, lexicon, trace=t.event)
+        first = parser.parse("dat arie bob vandaag wil kussen")
+        spans = list(t.names).count(solve)
+        again = parser.parse("dat arie bob vandaag wil kussen")
+    finally:
+        t.uninstall()
+    wil, finite = Atom("wil"), Atom("finite")
+    assert set(program.table) == {
+        (ENTRY, wil, finite), (DEPENDENT, Atom("arie")), (DEPENDENT, Atom("bob")),
+        (DEPENDENT, Atom("vandaag")), (ENTRY, Atom("kussen"), Atom("nonfinite")),
+        (FRAME, wil, finite, 4)}
+    # one span per answer and one for the end, for each solve of the table
+    assert spans == sum(len(answers) + 1 for answers in program.table.values())
+    assert list(t.names).count(solve) == spans
+    rows = [[(d.head_index, d.reading_text, d.members, d.cluster)
+             for d in result.derivations] for result in (first, again)]
+    assert len(rows[0]) == 3 and rows[1] == rows[0]
     for name in ("tracer", "workloads", "gen"):
         sys.modules.pop(name, None)

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from clgram import fragment_source
 from clgram.cli import main
+from clgram.reader import MAX_TERM_DEPTH
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +222,72 @@ class TestTraceCommand:
 
     def test_requires_sentence_or_goal(self, capsys):
         assert run_cli(capsys, "trace")[0] == 2
+
+
+def nested(depth: int, kind: str) -> str:
+    """`depth` levels of structures, lists or records around `a`."""
+    n = depth
+    if kind == "struct":
+        return "f(" * n + "a" + ")" * n
+    if kind == "list":
+        return "[" * n + "a" + "]" * n
+    return "@sign{sc: " * n + "a" + "}" * n
+
+
+class TestNestingBound:
+    """The reader takes terms up to `MAX_TERM_DEPTH` levels deep, which
+    every later stage handles, and rejects deeper ones as a syntax error
+    at the token that goes too deep."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("kind", ["struct", "list", "record"])
+    def test_goal_at_the_bound(self, capsys, kind, fmt):
+        goal = f"eq(X, {nested(MAX_TERM_DEPTH - 1, kind)})."   # eq is a level
+        code, out, err = run_cli(capsys, "trace", "--goal", goal, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out.splitlines()[-1]) == {"event": "done", "solutions": 1}
+        else:
+            assert "\nsolution 1:\n  X = " in out
+
+    @pytest.mark.parametrize("kind", ["struct", "list", "record"])
+    def test_goal_past_the_bound(self, capsys, kind):
+        goal = f"eq(X, {nested(MAX_TERM_DEPTH, kind)})."
+        code, out, err = run_cli(capsys, "trace", "--goal", goal)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 1, col ")
+        assert err.endswith(f": term nested deeper than {MAX_TERM_DEPTH} levels\n")
+
+    def test_grammar_at_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "deep.clg"
+        path.write_text(fragment_source() + f"deep({nested(MAX_TERM_DEPTH - 1, 'struct')}).\n")
+        code, out, err = run_cli(capsys, "trace", "--grammar", str(path),
+                                 "--goal", "deep(X).")
+        assert (code, err) == (0, "")
+        assert "\nsolution 1:\n  X = f(f(" in out
+
+    def test_grammar_past_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "deep.clg"
+        lines = fragment_source().count("\n")
+        path.write_text(fragment_source()
+                        + f"deep({nested(MAX_TERM_DEPTH, 'struct')}).\n"
+                        + "deep(a).\n" + "deep([).\n")
+        code, out, err = run_cli(capsys, "trace", "--grammar", str(path),
+                                 "--goal", "deep(X).")
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        # recovered at the period: the error after the deep clause is found too
+        assert err.splitlines() == [
+            f"error: fragment.clg:{lines + 1}:{6 + 2 * (MAX_TERM_DEPTH - 1)}: "
+            f"term nested deeper than {MAX_TERM_DEPTH} levels",
+            f"fragment.clg:{lines + 3}:7: unexpected token ')' in term"]
+
+    def test_a_flat_list_is_one_level(self, capsys):
+        goal = f"eq(X, [{', '.join(['a'] * 5000)}])."
+        code, out, err = run_cli(capsys, "trace", "--goal", goal, "--format", "json")
+        assert (code, err) == (0, "")
+        solution = json.loads(out.splitlines()[-2])
+        assert solution["bindings"]["X"] == [{"atom": "a"}] * 5000
 
 
 class TestEnvFallbacks:

@@ -10,6 +10,7 @@ from clgram import (Atom, Avm, Lexicon, LexiconError, ListCons, Parser, Program,
                     Struct, Var, build_program, canonical, canonical_text,
                     fragment_source, lexicon_source)
 from clgram.cli import main
+from clgram.parser import ENTRY, FRAME
 
 PREDICATES = [("stem", 2), ("finite_form", 2), ("nonfinite_ok", 1),
               ("noun_entry", 2), ("adverbial_entry", 2)]
@@ -162,13 +163,12 @@ class TestInstall:
     def test_second_lexicon_after_a_parse(self):
         program, packaged = build_program()
         assert Parser(program, packaged).parse("dat arie wil slapen").grammatical
-        assert program.frames
+        assert (FRAME, Atom("wil"), Atom("finite"), 2) in program.table
         extra = Lexicon("zzann\tnoun\n"
                         "zzslapen\tverb\tframe=iv soa=zz_soa roles=a phon=zzslaap\n")
-        assert program.tabled(("tabled_entry", Atom("wil"), Atom("finite")))
+        assert (ENTRY, Atom("wil"), Atom("finite")) in program.table
         extra.install(program)
-        assert not program.frames
-        assert not program.tabled(("tabled_entry", Atom("wil"), Atom("finite")))
+        assert not program.table
         assert Parser(program, extra).parse("dat zzann zzslaapt").grammatical
 
 
@@ -224,12 +224,14 @@ class TestLazyFill:
     def test_making_a_clause_drops_no_table(self, made):
         program, lexicon = build_program()
         assert Parser(program, lexicon).parse("dat arie wil slapen").grammatical
-        frames = dict(program.frames)
+        table = {key: list(answers) for key, answers in program.table.items()}
+        assert (FRAME, Atom("wil"), Atom("finite"), 2) in table
+        assert (ENTRY, Atom("wil"), Atom("finite")) in table
         naming(program, ("stem", 2), "kussen")
         every_clause(program, ("noun_entry", 2))
         assert ("stem", "kussen") in made
-        assert program.frames == frames
-        assert program.tabled(("tabled_entry", Atom("wil"), Atom("finite")))
+        assert {key: list(answers) for key, answers in program.table.items()} \
+            == table
 
     def test_trace_goal_lists_every_stem(self, capsys, tmp_path):
         path = tmp_path / "many.tsv"
@@ -257,7 +259,7 @@ class TestErrors:
          "line 1: phon 'P' is not a valid atom"),
         ("zz\tverb\tframe=iv soa=a_soa roles=a fin=f\n"
          "zy\tverb\tframe=iv soa=b_soa roles=a fin=f\n",
-         "finite surface 'f' belongs to both 'zz' and 'zy'"),
+         "line 2: finite surface 'f' belongs to both 'zz' and 'zy'"),
     ])
     def test_message_names_the_line(self, text, message):
         with pytest.raises(LexiconError) as e:

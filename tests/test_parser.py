@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
-from clgram.parser import LEFT, RIGHT
+from clgram.parser import DEPENDENT, ENTRY, FRAME, LEFT, RIGHT
 from clgram import (Atom, ClgramError, Engine, ListCons, LimitExceededError,
                     NoFiniteVerbError, Parser, Struct, UnknownTokensError, Var,
                     build_program, cluster_expand, corpus_source, load_corpus)
@@ -360,8 +360,8 @@ class TestEntryTable:
         held = []
         for word, form in (("kussen", "finite"), ("slapen", "finite"),
                            ("kussen", "nonfinite")):
-            assert engine.table("tabled_entry", Struct(
-                "lexical_entry", (Atom(word), Atom(form), Var("E"))))
+            assert engine.table((ENTRY, Atom(word), Atom(form)), Struct(
+                "lexical_entry", (Atom(word), Atom(form), Var("E")))) is not None
             every = program.candidates(key, store, ())
             for w in ("kussen", "slapen"):       # as a fresh scan gives them
                 assert candidates(w) == (every if len(every) <= 1 else [
@@ -378,6 +378,13 @@ class TestEntryTable:
             second = Parser(prog, lex).parse(sentence)
             assert len(second.derivations) == AMBIGUITY[sentence][0]
             assert derivation_rows(second) == derivation_rows(first)
+
+
+def frames(program, word: str, n: int) -> list:
+    """The frames kept for `word` with `n` members: its answers with no
+    residue."""
+    return [a for a in program.table[FRAME, Atom(word), Atom("finite"), n]
+            if not a.body]
 
 
 class TestFrameTable:
@@ -404,7 +411,8 @@ class TestFrameTable:
             assert derivation_rows(result) == \
                 derivation_rows(Parser(*build_program()).parse(sentence))
         assert runs == [["wil"], [], ["wil"]]
-        assert set(program.frames) == {("wil", 3), ("wil", 2)}
+        assert {key[1:] for key in program.table if key[0] == FRAME} == \
+            {(Atom("wil"), Atom("finite"), n) for n in (3, 2)}
 
     def test_cut_off_frame_solve_records_nothing(self):
         program, lexicon = build_program()
@@ -412,7 +420,7 @@ class TestFrameTable:
         sentence = "dat arie vandaag wil kussen"   # every word tabled
         with pytest.raises(LimitExceededError, match="entry of 'wil'"):
             Parser(program, lexicon, max_depth=3).parse(sentence)
-        assert ("wil", 3) not in program.frames
+        assert (FRAME, Atom("wil"), Atom("finite"), 3) not in program.table
         full = Parser(program, lexicon).parse(sentence)
         assert derivation_rows(full) == \
             derivation_rows(Parser(*build_program()).parse(sentence))
@@ -421,10 +429,72 @@ class TestFrameTable:
         program, lexicon = build_program()
         assert len(Parser(program, lexicon).parse(LONG_ATTEMPT).derivations) \
             == 966
-        assert len(program.frames["wil", 9]) == 255
+        assert len(frames(program, "wil", 9)) == 255
         # no one frame's match phase takes 5,000 steps; together they do
         with pytest.raises(LimitExceededError, match="head 'wil'"):
             Parser(program, lexicon, max_depth=5000).parse(LONG_ATTEMPT)
+
+
+def entry_goal(word: str, form: str) -> Struct:
+    return Struct("lexical_entry", (Atom(word), Atom(form), Var("E")))
+
+
+class TestAnswerTable:
+    """`Engine.table` keeps each goal's answers once per Program, under a
+    key that tells a word's entry per form apart from a head's frames per
+    subcat length; loading source empties the table."""
+
+    def test_a_hit_returns_the_list_the_miss_filled(self):
+        program, _ = build_program()
+        key = (ENTRY, Atom("kussen"), Atom("nonfinite"))
+        first = Engine(program).table(key, entry_goal("kussen", "nonfinite"))
+        assert first and program.table[key] is first
+        calls = []
+        engine = Engine(program, trace=lambda event, store: calls.append(event))
+        assert engine.table(key, entry_goal("kussen", "nonfinite")) is first
+        assert calls == []
+
+    def test_a_cut_off_solve_records_nothing(self):
+        program, _ = build_program()
+        key = (ENTRY, Atom("kussen"), Atom("nonfinite"))
+        assert Engine(program, max_depth=3).table(
+            key, entry_goal("kussen", "nonfinite")) is None
+        assert program.table == {}
+        assert not program.defines(*ENTRY)
+        full = Engine(program).table(key, entry_goal("kussen", "nonfinite"))
+        assert full and program.table == {key: full}
+        store = Engine(program).store
+        assert program.candidates(ENTRY, store, (Atom("kussen"), Var(), Var())) \
+            == full
+
+    def test_frames_per_subcat_length_are_kept_apart(self):
+        program, lexicon = build_program()
+        parser = Parser(program, lexicon)
+        wil, finite = Atom("wil"), Atom("finite")
+        parser.parse("dat arie wil slapen")
+        two = program.table[FRAME, wil, finite, 2]
+        parser.parse("dat arie bob wil kussen")
+        three = program.table[FRAME, wil, finite, 3]
+        assert program.table[FRAME, wil, finite, 2] is two
+        assert len(two) == 1 and len(three) == 3
+        for n, answers in ((2, two), (3, three)):
+            for a in answers:
+                assert a.head.args[:2] == (Atom("wil"), Atom("finite"))
+                assert len(items(a.head.args[2].feats["sc"])) == n
+        entries = program.table[ENTRY, wil, finite]
+        assert not set(map(id, entries)) & set(map(id, two + three))
+
+    def test_loading_source_empties_the_table(self):
+        program, lexicon = build_program()
+        Parser(program, lexicon).parse("dat arie bob vandaag wil kussen")
+        assert {key[0] for key in program.table} == {ENTRY, DEPENDENT, FRAME}
+        program.load("zz_fact(a).\n", "<zz>")
+        assert program.table == {}
+        store = Engine(program).store
+        for pred, word in ((ENTRY, "wil"), (DEPENDENT, "arie"), (FRAME, "wil")):
+            args = (Atom(word),) + tuple(Var() for _ in range(pred[1] - 1))
+            assert program.candidates(pred, store, ()) == []
+            assert program.candidates(pred, store, args) == []
 
 
 # `bench/gen.py`'s scope sentences for seeds 101-105, written out so that
