@@ -14,7 +14,8 @@ import clgram.parser
 from clgram.parser import DEPENDENT, ENTRY, FRAME, LEFT, RIGHT
 from clgram import (Atom, ClgramError, Engine, ListCons, LimitExceededError,
                     NoFiniteVerbError, Parser, Struct, UnknownTokensError, Var,
-                    build_program, cluster_expand, corpus_source, load_corpus)
+                    build_program, cluster_expand, corpus_source, load_corpus,
+                    render)
 
 CORPUS = load_corpus(corpus_source())
 
@@ -571,6 +572,16 @@ PINNED_DIGEST = \
     "4bc0f91e07ce1a6e32fabe3448523525fd4a03e2354593afa5cacc63bac33773"
 
 
+# sha256 over `render(d.sign, "avm")` of every derivation in order, taken
+# while every derivation's sign was resolved as the parse found it
+SIGN_DIGEST = {
+    "pinned_slash_off":
+        "a10ae5f6ccbc690c18184c4e422a18afe6453b52a09a3bcf64bb97aa1c9e1277",
+    "corpus_slash_on":
+        "d3f6379d54516f98f1eb7afb20f009f3f988e7c36841a51b221fa76f62505e88",
+}
+
+
 @pytest.fixture(scope="module")
 def pinned_rows():
     parser = Parser(*build_program())
@@ -591,6 +602,18 @@ class TestDerivationPin:
         parser = Parser(*build_program())
         backwards = [derivation_rows(parser.parse(s)) for s in reversed(PINNED)]
         assert backwards[::-1] == pinned_rows
+
+    @pytest.mark.parametrize("name,sentences,slash", [
+        ("pinned_slash_off", PINNED, False),
+        ("corpus_slash_on", [s for s, _ in CORPUS], True)],
+        ids=["pinned_slash_off", "corpus_slash_on"])
+    def test_signs_pinned(self, name, sentences, slash):
+        parser = Parser(*build_program(enable_slash=slash))
+        digest = hashlib.sha256()
+        for sentence in sentences:
+            for d in parser.parse(sentence).derivations:
+                digest.update(render(d.sign, "avm").encode() + b"\0")
+        assert digest.hexdigest() == SIGN_DIGEST[name]
 
 
 def acceptance_sentences() -> list[str]:
