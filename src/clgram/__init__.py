@@ -7,7 +7,8 @@ verb-cluster fragment and a head-driven parser for it.
 
 from .errors import (ClgramError, GrammarSyntaxError, LexiconError,
                      LimitExceededError, LoadError, NoFiniteVerbError,
-                     SortError, UndefinedPredicateError, UnknownTokensError)
+                     SortError, StaleParseError, UndefinedPredicateError,
+                     UnknownTokensError)
 from .fragment import (build_program, corpus_source, fragment_source,
                        lexicon_source, load_corpus)
 from .lexicon import Lexicon
@@ -24,9 +25,9 @@ __all__ = [
     "Engine", "GrammarSyntaxError", "Lexicon", "LexiconError",
     "LimitExceededError", "ListCons", "LoadError", "NIL", "NoFiniteVerbError",
     "ParseResult", "Parser", "Program", "Solution", "Sort", "SortError",
-    "SortTable", "Store", "Struct", "Truncated", "UndefinedPredicateError",
-    "UnknownTokensError", "Var", "build_program", "canonical",
-    "canonical_text", "cluster_expand", "copy_term", "corpus_source",
-    "fragment_source", "lexicon_source", "list_to_python", "load_corpus", "make_list",
-    "render", "resolve", "unify",
+    "SortTable", "StaleParseError", "Store", "Struct", "Truncated",
+    "UndefinedPredicateError", "UnknownTokensError", "Var", "build_program",
+    "canonical", "canonical_text", "cluster_expand", "copy_term",
+    "corpus_source", "fragment_source", "lexicon_source", "list_to_python",
+    "load_corpus", "make_list", "render", "resolve", "unify",
 ]

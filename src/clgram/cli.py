@@ -29,7 +29,6 @@ from .parser import Parser
 from .reader import parse_goals
 from .render import _var_text, canonical, canonical_text, render
 from .solver import Engine, Truncated
-from .terms import resolve
 
 _TRUE_STRINGS = ("1", "true", "yes", "on")
 
@@ -113,9 +112,9 @@ def _build(args):
                                   enable_slash=args.enable_slash)
 
 
-def _brief(term, store, limit: int = 160) -> str:
+def _brief(term, limit: int = 160) -> str:
     try:
-        text = canonical_text(canonical(resolve(store, term)))
+        text = canonical_text(canonical(term))
     except ValueError:
         text = "<cyclic>"
     if len(text) > limit:
@@ -133,9 +132,9 @@ def _trace_printer(out, fmt: str):
     def emit(event, store):
         tag = event[0]
         if tag == "bind":
-            fields = {"var": _var_text(event[1]), "value": _brief(event[2], store)}
+            fields = {"var": _var_text(event[1]), "value": _brief(event[2])}
         else:
-            fields = {"goal": _brief(event[1], store)}
+            fields = {"goal": _brief(event[1])}
             if tag == "suspend":
                 fields["on"] = [_var_text(v) for v in event[2]]
         if fmt == "json":

@@ -53,3 +53,8 @@ class NoFiniteVerbError(ClgramError):
 
 class LimitExceededError(ClgramError):
     """Search hit the step limit before the answer space was exhausted."""
+
+
+class StaleParseError(ClgramError):
+    """A derivation's sign was asked for after its Program added clauses,
+    so replaying the parse that found it could give other signs."""

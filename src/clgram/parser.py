@@ -37,11 +37,22 @@ depends only on the head word and the subcat length n (the skeleton is
 n fresh variables), so `Parser._frames` tables it under (word, n), not
 the sentence, as clauses `tabled_frame(W, finite, Sign) :- Residue`
 that nothing calls; an answer that leaves no residue is a frame.  An
-attempt copies a frame (`copy_term`) and runs only the match phase,
-whose step budget spans all of the attempt's frames; each tabling solve
-has a budget of its own.  The frames keep the order of the answers, so
-the derivations come out in the order the nested entry and match
+attempt runs only the match phase on each frame, with a step budget
+that spans all of the attempt's frames; each tabling solve has a budget
+of its own.  The frames keep the order of the answers, so the
+derivations come out in the order the nested entry and match
 enumeration gave them.  A cut-off solve records nothing.
+
+The match phase pairs a frame in place, not a copy of it: every write to
+a term goes through the store's trail, and the attempt undoes to its
+mark after each frame and when it ends, raising or not, so the tabled
+frame comes back as it was.  A Program's table is thus mutated, and
+restored, during a parse, so two parses may not share a Program at the
+same time (tabling already mutated it).  A derivation is read off the
+live frame before that undo: its members, cluster and reading, the
+canonical form of its `sem`.  Its sign, a resolved snapshot, is made
+only for the first derivation of each reading; any other derivation's
+sign is made on demand by replaying its head's attempt (`Derivation.sign`).
 
 The match phase (`_pair`) pairs member k with the next left token, by
 `tabled_dependent`, or else the next right token, by `tabled_entry(T,
@@ -59,19 +70,20 @@ not a record or its sort meets the member's; an unbound member fits any
 token.  Matching only refines a member's sort, and in a sort tree a
 failed meet stays failed under refinement, so a pairing the table rules
 out could never have matched: the derivations and their order are
-unchanged.  A skipped frame is never copied.
+unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import LimitExceededError, NoFiniteVerbError, UnknownTokensError
+from .errors import (LimitExceededError, NoFiniteVerbError, StaleParseError,
+                     UnknownTokensError)
 from .lexicon import Lexicon
 from .render import canonical, canonical_text
 from .solver import Engine, Program
-from .terms import (NIL, Atom, Avm, ListCons, SortTable, Struct, Var,
-                    copy_term, deref, make_list, resolve)
+from .terms import (NIL, Atom, Avm, ListCons, SortTable, Store, Struct, Var,
+                    deref, make_list, resolve)
 
 # `_pair` matches a word left of the head as a noun or an adverbial.
 MATCH_RULES = """
@@ -85,14 +97,28 @@ ENTRY, DEPENDENT, FRAME = ("tabled_entry", 3), ("tabled_dependent", 2), ("tabled
 LEFT, RIGHT = 1, 2      # the ways a member may take a token, as table bits
 
 
-@dataclass
+@dataclass(slots=True)
 class Derivation:
     head_index: int
-    sign: object                     # resolved finite sign, structure shared
     reading: tuple                   # canonical form of the sign's sem, and
     reading_text: str                # its text, shared by equal readings
     members: list[dict]              # per subcat member: dir, lex, token, token_index
     cluster: list[str]               # head plus governed cluster verbs, surface order
+    _sign: object = field(default=None, repr=False, compare=False)
+    _signs: _Signs | None = field(default=None, repr=False, compare=False)
+    _index: int = field(default=0, repr=False, compare=False)  # in its attempt
+
+    @property
+    def sign(self):
+        """The resolved finite sign, structure shared.  The parse makes it
+        for the first derivation of each reading.  Any other derivation's
+        first read replays its head's attempt untraced, which costs about
+        as much as that attempt did, and resolves every sign of it; later
+        reads return the same object.  Raises StaleParseError if the
+        Program has added clauses since the parse."""
+        if self._sign is None:
+            self._sign = self._signs.sign(self)
+        return self._sign
 
 
 @dataclass
@@ -111,11 +137,50 @@ class ParseResult:
         return list(dict.fromkeys(d.reading for d in self.derivations))
 
 
+class _Signs:
+    """What one parse's derivations share to make their signs on demand:
+    the tokens, the parse's readings, and each replayed attempt's
+    derivations by head index, every sign resolved.  The derivations hold
+    it, and it holds none of theirs, so a result makes no reference
+    cycle."""
+
+    __slots__ = ("parser", "tokens", "readings", "loaded", "replayed")
+
+    def __init__(self, parser: Parser, tokens: list[str]):
+        self.parser = parser
+        self.tokens = tokens
+        self.readings: dict = {}     # one (reading, text) per distinct reading
+        self.loaded = len(parser.program.loaded)
+        self.replayed: dict[int, list[Derivation]] = {}
+
+    def sign(self, d: Derivation):
+        """`d`'s sign, from its head's attempt replayed once.  A replayed
+        derivation must have `d`'s row, or its sign is not `d`'s."""
+        h = d.head_index
+        replay = self.replayed.get(h)
+        if replay is None:
+            parser = self.parser
+            if len(parser.program.loaded) != self.loaded:
+                raise StaleParseError(
+                    "the program has added clauses since the parse; "
+                    "parse again for this derivation's sign")
+            replay = self.replayed[h] = parser._attempt(h, self, replay=True)
+        r = replay[d._index] if d._index < len(replay) else None
+        if r is None or (r.reading, r.members, r.cluster) != \
+                (d.reading, d.members, d.cluster):
+            raise StaleParseError(
+                f"replaying head {self.tokens[h]!r} gave other derivations "
+                "than the parse")
+        return r._sign
+
+
 def _walk_list(t) -> list:
+    """The items of a list term, live or resolved."""
     items = []
-    while isinstance(t, ListCons):
+    t = deref(t)
+    while type(t) is ListCons:
         items.append(t.head)
-        t = t.tail
+        t = deref(t.tail)
     return items
 
 
@@ -143,17 +208,22 @@ class Parser:
         result = ParseResult(sentence, tokens, had_dat)
         if len(tokens) - 1 > self.max_sc_length:   # every other token is a member
             return result
-        readings: dict = {}     # one (reading, text) per distinct reading
+        signs = _Signs(self, tokens)
         for h in heads:
-            result.derivations.extend(self._attempt(tokens, h, readings))
+            result.derivations.extend(self._attempt(h, signs))
         return result
 
     # one finite-head hypothesis
-    def _attempt(self, tokens: list[str], h: int, readings: dict) -> list[Derivation]:
+    def _attempt(self, h: int, signs: _Signs, replay: bool = False) -> list[Derivation]:
+        """The derivations with head `h`, each sign resolved if its reading
+        is new to `signs`.  A `replay` runs untraced and resolves every
+        sign."""
+        tokens = signs.tokens
         word = self.lexicon.finite_map[tokens[h]]
         left = tokens[:h]
         right = tokens[h + 1:]
-        engine = Engine(self.program, max_depth=self.max_depth, trace=self.trace)
+        engine = Engine(self.program, max_depth=self.max_depth,
+                        trace=None if replay else self.trace)
         self._table(engine, ENTRY, Struct(
             "lexical_entry", (Atom(word), FINITE, Var("Entry"))))
         left_answers = [self._table(engine, DEPENDENT, Struct(
@@ -173,19 +243,17 @@ class Parser:
             for answer in answers:
                 if answer.body:         # a frame leaves no residue
                     continue
-                frame = answer.head.args[-1]
-                table = _pairings(self.program.sorts,
-                                  _walk_list(frame.feats["sc"])[::-1],
+                frame = answer.head.args[-1]    # paired in place, undone below
+                members = _walk_list(frame.feats["sc"])[::-1]
+                table = _pairings(self.program.sorts, members,
                                   left_sorts, right_sorts)
                 if not table[0][0]:
                     continue
-                sign = copy_term(store, frame)
-                members = _walk_list(sign.feats["sc"])[::-1]
                 for _ in _pair(engine, table, members, lefts, rights, reset):
                     if store.pending_residue():
                         continue
-                    resolved = resolve(store, sign)
-                    out.append(self._extract(resolved, tokens, h, left, right, readings))
+                    out.append(self._extract(store, frame, h, signs, len(out),
+                                             replay))
                 reset = False
                 store.undo_to(m0)
                 if engine.truncated:
@@ -217,19 +285,21 @@ class Parser:
                 f"(entry of {goal.args[0].name!r})")
         return answers
 
-    def _extract(self, sign, tokens: list[str], h: int, left: list[str],
-                 right: list[str], readings: dict) -> Derivation:
+    def _extract(self, store: Store, sign, h: int, signs: _Signs, index: int,
+                 every_sign: bool) -> Derivation:
+        """The derivation of the live `sign`, the attempt's `index`th, read
+        before the attempt undoes it."""
+        tokens = signs.tokens
+        sign = deref(sign)
         members = _walk_list(sign.feats["sc"])
-        lefts = [m for m in members if _feat_atom(m, "dir") == "left"]
-        rights = [m for m in members if _feat_atom(m, "dir") == "right"]
-        assert len(lefts) == len(left) and len(rights) == len(right), \
-            "member/token split mismatch"
+        dirs = [_feat_atom(m, "dir") for m in members]
+        assert dirs.count("left") == h and \
+            dirs.count("right") == len(tokens) - 1 - h, "member/token split mismatch"
         info: list[dict] = []
         li = ri = 0
-        for m in members:
-            d = _feat_atom(m, "dir")
+        for m, d in zip(members, dirs):
             if d == "left":
-                tok_index = len(left) - 1 - li
+                tok_index = h - 1 - li
                 li += 1
             else:
                 tok_index = h + 1 + ri
@@ -240,16 +310,19 @@ class Parser:
             info.append({"dir": d, "lex": lex, "token": tok,
                          "token_index": tok_index})
         reading = canonical(sign.feats["sem"])
-        known = readings.get(reading)
+        known = signs.readings.get(reading)
         if known is None:
-            known = readings[reading] = (reading, canonical_text(reading))
+            known = signs.readings[reading] = (reading, canonical_text(reading))
+            every_sign = True
         return Derivation(
             head_index=h,
-            sign=sign,
             reading=known[0],
             reading_text=known[1],
             members=info,
             cluster=cluster_expand(sign),
+            _sign=resolve(store, sign) if every_sign else None,
+            _signs=signs,
+            _index=index,
         )
 
 
@@ -327,16 +400,18 @@ def _pair(engine: Engine, table: list, members: list, lefts: list,
 
 
 def _feat_atom(m, name: str) -> str | None:
-    if not isinstance(m, Avm):
+    m = deref(m)
+    if type(m) is not Avm:
         return None
-    v = m.feats.get(name)
-    return v.name if isinstance(v, Atom) else None
+    v = deref(m.feats.get(name))
+    return v.name if type(v) is Atom else None
 
 
 def cluster_expand(sign) -> list[str]:
-    """Surface order of the verb cluster: the sign's own form, then every
-    governed verbal member, skipping members already listed (a flat list
-    names each inherited complement at several levels)."""
+    """Surface order of the verb cluster of a live or resolved sign: its
+    own form, then every governed verbal member, skipping members already
+    listed (a flat list names each inherited complement at several
+    levels)."""
     out: list[str] = []
     seen: set[int] = set()
 
@@ -348,8 +423,9 @@ def cluster_expand(sign) -> list[str]:
         if lex is not None:
             out.append(lex)
         for m in _walk_list(v.feats.get("sc", NIL)):
-            if isinstance(m, Avm) and _feat_atom(m, "dir") == "right":
+            m = deref(m)
+            if type(m) is Avm and _feat_atom(m, "dir") == "right":
                 walk(m)
 
-    walk(sign)
+    walk(deref(sign))
     return out

@@ -1,7 +1,8 @@
-"""Display and canonical forms for detached terms.
+"""Display and canonical forms of terms.
 
-Everything here expects terms that went through `terms.resolve`, so no
-store is needed: bindings and forwards are already chased.  Three views:
+`render` expects terms that went through `terms.resolve`, so no store
+is needed: bindings and forwards are already chased.  `canonical` also
+takes live terms and chases them as it walks.  Three views:
 
   render(t, "avm")   human-readable text, shared nodes tagged #n
   render(t, "json")  JSON text for machine consumption
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .terms import NIL, Atom, Avm, ListCons, Struct, Var, _Nil, _count_nodes
+from .terms import NIL, Atom, Avm, ListCons, Struct, Var, _Nil, _count_nodes, deref
 
 _INLINE_WIDTH = 60
 
@@ -124,37 +125,41 @@ def _to_json(t):
 def canonical(t, _numbering: dict | None = None, _stack: set | None = None) -> tuple:
     """Order-independent hashable form.  Unbound variables are numbered by
     first visit (told apart by identity, not by label), features sorted,
-    so two snapshots of the same abstract object compare equal."""
+    so two snapshots of the same abstract object compare equal.  Bindings
+    and forwards are followed, so a live term has the form of its
+    `resolve`d snapshot."""
     if _numbering is None:
         _numbering = {}
     if _stack is None:
         _stack = set()
-    if isinstance(t, Atom):
+    t = deref(t)
+    tp = type(t)
+    if tp is Atom:
         return ("atom", t.name)
-    if isinstance(t, Var):
+    if tp is Var:
         n = _numbering.setdefault(id(t), len(_numbering) + 1)
         return ("var", n)
-    if isinstance(t, _Nil):
+    if tp is _Nil:
         return ("nil",)
-    if isinstance(t, ListCons):
+    if tp is ListCons:
         cells, heads = [], []   # the cells stay open until the tail is done
-        while isinstance(t, ListCons):
+        while type(t) is ListCons:
             if id(t) in _stack:
                 raise ValueError("cyclic term has no canonical form")
             _stack.add(id(t))
             cells.append(id(t))
             heads.append(canonical(t.head, _numbering, _stack))
-            t = t.tail
+            t = deref(t.tail)
         out = canonical(t, _numbering, _stack)
         _stack.difference_update(cells)
         for h in reversed(heads):
             out = ("cons", h, out)
         return out
-    if isinstance(t, (Struct, Avm)):
+    if tp is Struct or tp is Avm:
         if id(t) in _stack:
             raise ValueError("cyclic term has no canonical form")
         _stack.add(id(t))
-        if isinstance(t, Struct):
+        if tp is Struct:
             out = ("struct", t.name,
                    tuple(canonical(a, _numbering, _stack) for a in t.args))
         else:

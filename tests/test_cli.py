@@ -64,6 +64,17 @@ class TestParseCommand:
         assert "derivation 1: cluster [wil slapen]" in out
         assert "@finite{" in out
 
+    def test_avm_replays_untraced(self, capsys):
+        # two of the three derivations share a reading, so --avm replays
+        # the attempt for the second one's sign
+        sentence = "dat arie bob vandaag wil kussen"
+        _, traced, events = run_cli(capsys, "parse", sentence, "--trace")
+        code, out, err = run_cli(capsys, "parse", sentence, "--trace", "--avm")
+        assert code == 0 and out.count("\nderivation ") == 3
+        assert err == events and "call    lexical_entry" in err
+        assert out == run_cli(capsys, "parse", sentence, "--avm")[1]
+        assert out.startswith(traced)
+
     def test_enable_slash_changes_judgment(self, capsys):
         code, _, _ = run_cli(capsys, "parse", "dat arie wil slaan")
         assert code == 1

@@ -13,9 +13,9 @@ from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
 from clgram.parser import DEPENDENT, ENTRY, FRAME, LEFT, RIGHT
 from clgram import (Atom, ClgramError, Engine, ListCons, LimitExceededError,
-                    NoFiniteVerbError, Parser, Struct, UnknownTokensError, Var,
-                    build_program, cluster_expand, corpus_source, load_corpus,
-                    render)
+                    NoFiniteVerbError, Parser, StaleParseError, Struct,
+                    UnknownTokensError, Var, build_program, canonical,
+                    cluster_expand, corpus_source, load_corpus, render)
 
 CORPUS = load_corpus(corpus_source())
 
@@ -434,6 +434,146 @@ class TestFrameTable:
         # no one frame's match phase takes 5,000 steps; together they do
         with pytest.raises(LimitExceededError, match="head 'wil'"):
             Parser(program, lexicon, max_depth=5000).parse(LONG_ATTEMPT)
+
+
+def frame_forms(program) -> dict:
+    """The canonical form of every tabled frame answer, by table key."""
+    return {key: [canonical(a.head) for a in answers]
+            for key, answers in program.table.items() if key[0] == FRAME}
+
+
+class Stop(Exception):
+    """Raised by a trace hook to end a parse."""
+
+
+def is_match_call(event) -> bool:
+    """Whether a trace event is a call of the match phase."""
+    goal = event[1]
+    return event[0] == "call" and (goal.name == "tabled_dependent" or (
+        goal.name == "tabled_entry" and goal.args[1] == Atom("nonfinite")))
+
+
+def stop_at(n: int):
+    """A trace hook that raises Stop at the match phase's nth call."""
+    seen = []
+
+    def hook(event, store):
+        if is_match_call(event):
+            seen.append(event)
+            if len(seen) == n:
+                raise Stop
+    return hook
+
+
+def tabled(sentence: str):
+    """A Program whose table holds the entries and frames `sentence`
+    needs, made without running its match phase."""
+    program, lexicon = build_program()
+    with pytest.raises(Stop):
+        Parser(program, lexicon, trace=stop_at(1)).parse(sentence)
+    assert any(key[0] == FRAME for key in program.table)
+    return program, lexicon
+
+
+class TestFramesInPlace:
+    """The match phase pairs each tabled frame in place; the trail brings
+    every frame back as it was tabled after a parse, after an attempt cut
+    off by the step budget, and after a parse that raises mid-match."""
+
+    @pytest.mark.parametrize("sentence", [
+        "dat arie bob vandaag toevallig wil kussen",
+        "dat arie bob de vrouwen met een verrekijker zag bekijken",
+        LONG_ATTEMPT])
+    def test_after_a_parse(self, sentence):
+        program, lexicon = tabled(sentence)
+        before = frame_forms(program)
+        result = Parser(program, lexicon).parse(sentence)
+        assert frame_forms(program) == before
+        assert derivation_rows(result) == \
+            derivation_rows(Parser(*build_program()).parse(sentence))
+
+    def test_after_a_cut_off_attempt(self):
+        program, lexicon = tabled(LONG_ATTEMPT)
+        before = frame_forms(program)
+        with pytest.raises(LimitExceededError, match="head 'wil'"):
+            Parser(program, lexicon, max_depth=5000).parse(LONG_ATTEMPT)
+        assert frame_forms(program) == before
+
+    def test_after_a_parse_that_raises(self):
+        sentence = "dat arie bob vandaag toevallig wil kussen"
+        parser = Parser(*build_program())
+        parser.parse(sentence)
+        counted = []
+        parser.trace = lambda event, store: counted.append(is_match_call(event))
+        parser.parse(sentence)
+        program, lexicon = tabled(sentence)
+        before = frame_forms(program)
+        with pytest.raises(Stop):
+            Parser(program, lexicon, trace=stop_at(sum(counted) // 2)).parse(sentence)
+        assert frame_forms(program) == before
+
+
+class TestSignsOnDemand:
+    """A parse resolves one sign per distinct reading; any other
+    derivation's sign replays its head's attempt on first use."""
+
+    SENTENCE = "dat arie bob vandaag toevallig wil kussen"   # 7 derivations, 4 readings
+
+    def test_one_resolve_per_reading(self, monkeypatch):
+        parser = Parser(*build_program())
+        parser.parse(self.SENTENCE)
+        resolved = []
+        real = clgram.parser.resolve
+
+        def counting(*args, **kwargs):
+            resolved.append(args[1])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(clgram.parser, "resolve", counting)
+        result = parser.parse(self.SENTENCE)
+        assert (len(result.derivations), len(result.readings)) == (7, 4)
+        assert len(resolved) == 4
+
+    @staticmethod
+    def split(result) -> tuple[dict, list]:
+        """The first derivation of each reading, and the others."""
+        firsts = {}
+        for d in result.derivations:
+            firsts.setdefault(d.reading, d)
+        return firsts, [d for d in result.derivations if firsts[d.reading] is not d]
+
+    def test_a_repeated_reading_replays_once(self, engines):
+        result = Parser(*build_program()).parse(self.SENTENCE)
+        firsts, repeated = self.split(result)
+        kept = [d.sign for d in firsts.values()]
+        assert len(repeated) == 3 and len(engines) == 1
+        signs = [d.sign for d in repeated]
+        assert len(engines) == 2        # one replay for the head's attempt
+        assert all(d.sign is s for d, s in zip(repeated, signs))
+        assert all(d.sign is s for d, s in zip(firsts.values(), kept))
+        assert len(engines) == 2
+        for d in repeated:
+            assert canonical(d.sign.feats["sem"]) == d.reading
+            assert cluster_expand(d.sign) == d.cluster
+
+    def test_replay_is_untraced(self):
+        events = []
+        parser = Parser(*build_program(),
+                        trace=lambda event, store: events.append(event))
+        result = parser.parse(self.SENTENCE)
+        n = len(events)
+        assert n and all(d.sign is not None for d in result.derivations)
+        assert len(events) == n
+
+    def test_a_sign_after_a_load_is_an_error(self):
+        program, lexicon = build_program()
+        result = Parser(program, lexicon).parse(self.SENTENCE)
+        firsts, (second, *_) = self.split(result)
+        first = firsts[second.reading]
+        program.load("zz_fact(a).\n", "<zz>")
+        assert first.sign is not None       # resolved by the parse
+        with pytest.raises(StaleParseError):
+            second.sign
+        assert issubclass(StaleParseError, ClgramError)
 
 
 def entry_goal(word: str, form: str) -> Struct:

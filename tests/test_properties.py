@@ -136,6 +136,19 @@ def test_canonical_is_stable(s):
     assert snap(store, t) == first
 
 
+@settings(max_examples=150, **SETTINGS)
+@given(specs, specs)
+def test_canonical_reads_live_terms(s1, s2):
+    # the two terms share variables, so unifying them binds and merges
+    # nodes that both hold
+    store = Store(sort_table())
+    env: dict = {}
+    a, b = build(store, s1, env), build(store, s2, env)
+    unify(store, a, b)
+    for t in (a, b, *env.values()):
+        assert canonical(t) == canonical(resolve(store, t))
+
+
 def generalised(spec):
     """`spec` with any subterm possibly replaced by a variable.  A goal and
     head pair where one generalises the other often matches, so repeated
