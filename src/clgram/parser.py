@@ -37,11 +37,11 @@ depends only on the head word and the subcat length n (the skeleton is
 n fresh variables), so `Parser._frames` tables it under (word, n), not
 the sentence, as clauses `tabled_frame(W, finite, Sign) :- Residue`
 that nothing calls; an answer that leaves no residue is a frame.  An
-attempt runs only the match phase on each frame, with a step budget
-that spans all of the attempt's frames; each tabling solve has a budget
-of its own.  The frames keep the order of the answers, so the
-derivations come out in the order the nested entry and match
-enumeration gave them.  A cut-off solve records nothing.
+attempt runs only the match phase on each frame.  Its Engine gives each
+tabling solve a step budget of its own, and the match phase one budget
+across all of the attempt's frames.  The frames keep the order of the
+answers, so the derivations come out in the order the nested entry and
+match enumeration gave them.  A cut-off solve records nothing.
 
 The match phase pairs a frame in place, not a copy of it: every write to
 a term goes through the store's trail, and the attempt undoes to its
@@ -82,8 +82,8 @@ from .errors import (LimitExceededError, NoFiniteVerbError, StaleParseError,
 from .lexicon import Lexicon
 from .render import canonical, canonical_text
 from .solver import Engine, Program
-from .terms import (NIL, Atom, Avm, ListCons, SortTable, Store, Struct, Var,
-                    deref, make_list, resolve)
+from .terms import (NIL, Atom, Avm, SortTable, Store, Struct, Var, deref,
+                    list_to_python, make_list, resolve)
 
 # `_pair` matches a word left of the head as a noun or an adverbial.
 MATCH_RULES = """
@@ -174,16 +174,6 @@ class _Signs:
         return r._sign
 
 
-def _walk_list(t) -> list:
-    """The items of a list term, live or resolved."""
-    items = []
-    t = deref(t)
-    while type(t) is ListCons:
-        items.append(t.head)
-        t = deref(t.tail)
-    return items
-
-
 class Parser:
     def __init__(self, program: Program, lexicon: Lexicon,
                  max_depth: int = 200000, max_sc_length: int = 10,
@@ -237,24 +227,23 @@ class Parser:
         lefts = [Atom(t) for t in left]
         rights = [Atom(t) for t in reversed(right)]
         out: list[Derivation] = []
-        reset = True            # one step budget across the attempt's frames
         m0 = store.mark()
         try:
             for answer in answers:
                 if answer.body:         # a frame leaves no residue
                     continue
                 frame = answer.head.args[-1]    # paired in place, undone below
-                members = _walk_list(frame.feats["sc"])[::-1]
+                sc = list_to_python(frame.feats["sc"])[0]
+                members = sc[::-1]
                 table = _pairings(self.program.sorts, members,
                                   left_sorts, right_sorts)
                 if not table[0][0]:
                     continue
-                for _ in _pair(engine, table, members, lefts, rights, reset):
+                for _ in _pair(engine, table, members, lefts, rights):
                     if store.pending_residue():
                         continue
-                    out.append(self._extract(store, frame, h, signs, len(out),
-                                             replay))
-                reset = False
+                    out.append(self._extract(store, frame, sc, h, signs,
+                                             len(out), replay))
                 store.undo_to(m0)
                 if engine.truncated:
                     break
@@ -285,13 +274,13 @@ class Parser:
                 f"(entry of {goal.args[0].name!r})")
         return answers
 
-    def _extract(self, store: Store, sign, h: int, signs: _Signs, index: int,
-                 every_sign: bool) -> Derivation:
-        """The derivation of the live `sign`, the attempt's `index`th, read
-        before the attempt undoes it."""
+    def _extract(self, store: Store, sign, members: list, h: int,
+                 signs: _Signs, index: int, every_sign: bool) -> Derivation:
+        """The derivation of the live `sign`, whose subcat list holds
+        `members`, the attempt's `index`th, read before the attempt undoes
+        it."""
         tokens = signs.tokens
         sign = deref(sign)
-        members = _walk_list(sign.feats["sc"])
         dirs = [_feat_atom(m, "dir") for m in members]
         assert dirs.count("left") == h and \
             dirs.count("right") == len(tokens) - 1 - h, "member/token split mismatch"
@@ -364,13 +353,12 @@ def _pairings(sorts: SortTable, members: list, left: list, right: list) -> list:
 
 
 def _pair(engine: Engine, table: list, members: list, lefts: list,
-          rights: list, reset: bool):
+          rights: list):
     """Yield once per full pairing that `table` allows, bindings live; each
-    pairing tried is a step (`reset`: start the budget)."""
+    pairing tried is a step."""
     store = engine.store
 
     def answers(k: int, i: int):
-        nonlocal reset
         tries = []
         if table[k][i] & LEFT:
             tries.append((Struct("tabled_dependent", (lefts[i], members[k])), i + 1))
@@ -379,10 +367,9 @@ def _pair(engine: Engine, table: list, members: list, lefts: list,
                                  (rights[k - i], NONFINITE, members[k])), i))
         mark = store.mark()
         for goal, after in tries:
-            if not engine.count_step(reset):
+            if not engine.count_step():
                 return
-            reset = False
-            for _ in engine.prove_live([goal], reset=False):
+            for _ in engine.prove_live([goal]):
                 yield after
             store.undo_to(mark)     # an ended enumeration leaves bindings
             if engine.truncated:
@@ -422,7 +409,7 @@ def cluster_expand(sign) -> list[str]:
         lex = _feat_atom(v, "lex")
         if lex is not None:
             out.append(lex)
-        for m in _walk_list(v.feats.get("sc", NIL)):
+        for m in list_to_python(v.feats.get("sc", NIL))[0]:
             m = deref(m)
             if type(m) is Avm and _feat_atom(m, "dir") == "right":
                 walk(m)

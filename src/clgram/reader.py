@@ -13,10 +13,11 @@ brackets `⟨ ⟩` work too), and record literals `@sort{feat: term, ...}`.
 `%` starts a comment.
 
 Sort declarations take effect immediately so later record literals in
-the same file can use them.  Errors carry line and column; parsing
-recovers at the next period and reports every error at once.  Terms
-nest at most `MAX_TERM_DEPTH` levels, as the term walkers recurse; a
-flat list of any length is one level.
+the same file can use them, and are taken back if the file fails to
+load.  Errors carry line and column; parsing recovers at the next
+period and reports every error at once.  Terms nest at most
+`MAX_TERM_DEPTH` levels, as the term walkers recurse; a flat list of
+any length is one level.
 """
 
 from __future__ import annotations
@@ -284,7 +285,8 @@ def parse_source(text: str, sorts: SortTable, path: str | None = None) -> list[t
     """Parse a whole source file.  Returns statement items; sort
     declarations are applied to `sorts` as they are read.  All syntax
     errors are collected (skipping to the next period) and raised
-    together as LoadError."""
+    together as LoadError, after the declarations are taken back, so a
+    source that fails declares no sort."""
     try:
         toks = tokenize(text, path)
     except GrammarSyntaxError as e:
@@ -299,6 +301,9 @@ def parse_source(text: str, sorts: SortTable, path: str | None = None) -> list[t
             errors.append(e)
             p.skip_to_period()
     if errors:
+        for item in reversed(items):    # subsorts first
+            if item[0] == "sort":
+                sorts.undeclare(item[1])
         raise LoadError(errors)
     return items
 

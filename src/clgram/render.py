@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .terms import NIL, Atom, Avm, ListCons, Struct, Var, _Nil, _count_nodes, deref
+from .terms import Atom, Avm, ListCons, Struct, Var, _Nil, _count_nodes, deref
 
 _INLINE_WIDTH = 60
 

@@ -22,9 +22,10 @@ solution is a `yield` at an empty resolvent, with bindings live in the
 store until the consumer advances.  `solve`
 wraps this with snapshotting and cleanup.  Exceeding the step budget
 ends the enumeration with a `Truncated` marker so callers can tell a
-cut-off search from an exhausted one.  The budget counts every step of
-one `solve`, or of one `prove_live` enumeration together with those
-nested in it or following on from it, across all of its answers.
+cut-off search from an exhausted one.  A step is a call.  Each `solve`
+has a budget of its own, across all of its answers; every other step
+an Engine takes (`prove_live`, `count_step`) draws on one budget that
+starts when the Engine is made.
 
 A clause is tried without renaming it first.  On its first try it is
 compiled (`terms.compile_clause`) into a matcher per head argument and a
@@ -271,8 +272,8 @@ class Program:
 
 @dataclass
 class Solution:
-    """One answer: named query variables (detached), plus the goals still
-    suspended when the answer was produced."""
+    """One answer: named query variables (detached), the goals still
+    suspended when it was produced, and the steps its solve had taken."""
     bindings: dict[str, object]
     residue: list
     steps: int
@@ -280,8 +281,8 @@ class Solution:
 
 @dataclass
 class Truncated:
-    """End-of-stream marker: the search hit the step budget, so absence of
-    further answers proves nothing."""
+    """End-of-stream marker: the solve spent its budget of `steps`, so
+    absence of further answers proves nothing."""
     steps: int
 
 
@@ -292,7 +293,6 @@ class Engine:
         self.store.trace = trace
         self.max_depth = max_depth
         self._steps = 0
-        self._total_steps = 0
         self._truncated = False
 
     # -- blocking
@@ -333,6 +333,11 @@ class Engine:
     # -- proving
 
     def _prove(self, goals: list):
+        """Low-level enumeration on the Engine's step budget
+        (`prove_live`): yields None per answer with bindings still live
+        in the store.  The caller inspects or resolves them, then
+        advances, and must mark and undo around the whole enumeration,
+        also after a cut-off."""
         store = self.store
         rest = None                     # the resolvent as (goal, rest) pairs
         for g in reversed(goals):
@@ -359,7 +364,6 @@ class Engine:
                 if not self.program.defines(*key):
                     raise UndefinedPredicateError(f"undefined predicate {key[0]}/{key[1]}")
                 self._steps += 1        # `count_step`, inlined in the hot loop
-                self._total_steps += 1
                 if self._steps > self.max_depth:
                     self._truncated = True
                     return
@@ -381,17 +385,15 @@ class Engine:
             else:
                 return
 
-    def solve(self, goals: list, max_solutions: int | None = None,
-              var_names: dict[str, Var] | None = None):
-        """Yield Solutions for the conjunction of `goals`.  If the step
-        budget runs out, the last item yielded is a Truncated marker."""
-        if var_names is None:
-            var_names = _named_vars(goals)
+    def solve(self, goals: list, var_names: dict[str, Var]):
+        """Yield a Solution per answer to the conjunction of `goals`, with
+        the variables of `var_names` resolved by name.  The solve has a
+        step budget of its own; if it runs out, the last item yielded is
+        a Truncated marker.  Ending or closing the generator undoes the
+        store and gives the caller's step count back."""
         store = self.store
-        self._steps = 0
-        self._truncated = False
+        steps, self._steps, self._truncated = self._steps, 0, False
         m0 = store.mark()
-        produced = 0
         try:
             for _ in self._prove(goals):
                 memo: dict = {}
@@ -400,14 +402,12 @@ class Engine:
                             for n, v in var_names.items()}
                 residue = [resolve(store, g, memo, counter)
                            for g in store.pending_residue()]
-                yield Solution(bindings, residue, self._total_steps)
-                produced += 1
-                if max_solutions is not None and produced >= max_solutions:
-                    break
+                yield Solution(bindings, residue, self._steps)
         finally:
             store.undo_to(m0)
+            steps, self._steps = self._steps, steps
         if self._truncated:
-            yield Truncated(self._total_steps)
+            yield Truncated(steps)
 
     def table(self, key: tuple, goal: Struct) -> list[Clause] | None:
         """The answers to `goal`, solved once per Program and `key`.  The
@@ -432,25 +432,14 @@ class Engine:
         self.program.add_table(key, answers)
         return answers
 
-    def prove_live(self, goals: list, reset: bool = True):
-        """Low-level enumeration: yields None per answer with bindings
-        still live in the store.  Caller inspects/resolves, then advances.
-        Caller must mark/undo around the whole enumeration, also after a
-        cut-off.  Pass reset=False when nesting inside another live
-        enumeration, or to follow on from an earlier one, so the step
-        budget and the cut-off flag stay shared."""
-        if reset:
-            self._steps = 0
-            self._truncated = False
-        yield from self._prove(goals)
+    # `solve` calls `_prove`, so a wrapper of `prove_live` sees only the
+    # enumerations made outside a `solve`
+    prove_live = _prove
 
-    def count_step(self, reset: bool = False) -> bool:
-        """Count a step as a call does (`reset`: new budget); False if spent."""
-        if reset:
-            self._steps = 0
-            self._truncated = False
+    def count_step(self) -> bool:
+        """Count a step on the Engine's budget, as a call does; False if
+        the budget is spent."""
         self._steps += 1
-        self._total_steps += 1
         if self._steps > self.max_depth:
             self._truncated = True
         return not self._truncated
@@ -463,23 +452,3 @@ class Engine:
 def source_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-
-def _named_vars(goals: list) -> dict[str, Var]:
-    out: dict[str, Var] = {}
-
-    def walk(t):
-        while isinstance(t, ListCons):
-            walk(t.head)
-            t = t.tail
-        if isinstance(t, Var) and t.name:
-            out.setdefault(t.name, t)
-        elif isinstance(t, Struct):
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, Avm):
-            for v in t.feats.values():
-                walk(v)
-
-    for g in goals:
-        walk(g)
-    return out

@@ -69,6 +69,10 @@ class SortTable:
         self._sorts[name] = s
         return s
 
+    def undeclare(self, name: str) -> None:
+        """Take back the declaration of `name`, a sort with no subsorts."""
+        del self._sorts[name]
+
     def get(self, name: str) -> Sort:
         try:
             return self._sorts[name]
@@ -197,14 +201,15 @@ def make_list(items, tail=NIL):
     return out
 
 
-def list_to_python(store: "Store", t) -> tuple[list, object]:
-    """Walk a list term; returns (prefix items, tail) where tail is NIL
-    for a proper list or whatever non-cons term ends it."""
+def list_to_python(t) -> tuple[list, object]:
+    """Walk a list term, live or resolved; returns (prefix items, tail)
+    where tail is NIL for a proper list or whatever non-cons term ends
+    it."""
     items = []
-    t = store.deref(t)
-    while isinstance(t, ListCons):
+    t = deref(t)
+    while type(t) is ListCons:
         items.append(t.head)
-        t = store.deref(t.tail)
+        t = deref(t.tail)
     return items, t
 
 

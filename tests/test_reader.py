@@ -3,7 +3,7 @@
 import pytest
 
 from clgram import (Atom, Avm, GrammarSyntaxError, ListCons, LoadError,
-                    SortTable, Struct, Var, canonical)
+                    Program, SortTable, Struct, Var, canonical)
 from clgram.reader import parse_goals, parse_source
 
 
@@ -121,6 +121,27 @@ def test_error_recovery_collects_several(sorts):
     # the well-formed statement in between still parses elsewhere
     ok = parse_source("q(b).", sorts)
     assert kinds(ok) == ["clause"]
+
+
+BAD_SORTS = "sort a < top.\nsort b < a.\nfoo(.\n"
+
+
+def test_failed_load_declares_no_sort():
+    program = Program()
+    with pytest.raises(LoadError):
+        program.load(BAD_SORTS)
+    assert "a" not in program.sorts and "b" not in program.sorts
+    program.load("sort a < top.\nsort b < a.\nfoo.\n")
+    assert program.sorts.get("b").parent is program.sorts.get("a")
+
+
+def test_failed_load_fails_the_same_way_again():
+    program = Program()
+    for _ in range(2):
+        with pytest.raises(LoadError) as exc:
+            program.load(BAD_SORTS)
+        assert [str(e) for e in exc.value.errors] == \
+            ["line 3, col 5: unexpected token '.' in term"]
 
 
 def test_error_has_position(sorts):

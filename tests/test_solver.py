@@ -16,10 +16,9 @@ from clgram.reader import parse_goals
 from clgram.solver import Clause
 
 
-def run(engine, text, max_solutions=None):
+def run(engine, text):
     goals, names = parse_goals(text, engine.program.sorts)
-    return list(engine.solve(goals, max_solutions=max_solutions,
-                             var_names=names))
+    return list(engine.solve(goals, var_names=names))
 
 
 def binding_texts(sols, name):
@@ -138,16 +137,51 @@ class TestTruncation:
         assert isinstance(out[-1], Truncated)
         assert sum(isinstance(o, Solution) for o in out) == 49
 
+    # calling p<k> takes k + 1 steps
+    CHAIN = "".join(f"p{i} :- p{i - 1}.\n" for i in range(1, 12)) + "p0.\n"
+
+    def test_solve_leaves_the_engine_budget_whole(self):
+        prog = Program()
+        prog.load(self.CHAIN)
+        eng = Engine(prog, max_depth=10)
+        assert [type(o) for o in run(eng, "p4.")] == [Solution]
+        m = eng.store.mark()
+        assert list(eng.prove_live([Atom("p9")])) == [None]     # 10 steps
+        eng.store.undo_to(m)
+        assert not eng.truncated
+        assert not eng.count_step()     # the 11th step on the same budget
+
+    def test_nested_solve_has_a_budget_of_its_own(self):
+        prog = Program()
+        prog.load(self.CHAIN + "".join(f"q(a{i}) :- t.\n" for i in range(20))
+                  + "t.\n")
+        eng = Engine(prog, max_depth=10)
+        m = eng.store.mark()
+        live = eng.prove_live([Struct("q", (Var("X"),))])
+        next(live)                      # 2 steps: q, then t
+        assert [type(o) for o in run(eng, "p9.")] == [Solution]  # 10 steps
+        # the enumeration goes on from 2 steps, one more per answer
+        assert sum(1 for _ in live) == 8
+        eng.store.undo_to(m)
+        assert eng.truncated
+
 
 class TestEnumeration:
-    def test_max_solutions_stops_early(self):
+    def test_closing_solve_stops_early(self):
+        # a caller stops early by closing the generator, which undoes the
+        # store as an end does
         prog = Program()
         prog.load("q(a).\nq(b).\nq(c).\n")
         eng = Engine(prog)
+        goals, names = parse_goals("q(X).", prog.sorts)
         before = eng.store.mark()
-        out = run(eng, "q(X).", max_solutions=2)
+        gen = eng.solve(goals, var_names=names)
+        out = [next(gen), next(gen)]
+        assert eng.store.mark() > before
+        gen.close()
         assert binding_texts(out, "X") == ["a", "b"]
         assert eng.store.mark() == before
+        assert eng.store.deref(names["X"]) is names["X"]
 
     def test_solve_restores_store(self, program):
         eng = Engine(program)
@@ -368,8 +402,8 @@ class TestDepth:
             out = list(Engine(prog).solve([Struct("big", (x,))],
                                           var_names={"X": x}))
             assert len(out) == 1 and isinstance(out[0], Solution), out
-            goals, _ = parse_goals(f"big([{items}]).", prog.sorts)
-            again = list(Engine(prog).solve(goals))
+            goals, names = parse_goals(f"big([{items}]).", prog.sorts)
+            again = list(Engine(prog).solve(goals, var_names=names))
             assert len(again) == 1 and isinstance(again[0], Solution), again
             print("ok")
             """)

@@ -88,7 +88,7 @@ class TestUnify:
         open_list = ListCons(a, ListCons(b, c))
         assert unify(store, open_list, make_list([Atom("p"), Atom("q"), Atom("r")]))
         assert store.deref(a) == Atom("p")
-        items, tail = list_to_python(store, store.deref(c))
+        items, tail = list_to_python(store.deref(c))
         assert [store.deref(i) for i in items] == [Atom("r")]
         assert tail is NIL
 
@@ -252,6 +252,6 @@ class TestCopyResolve:
 
     def test_list_roundtrip(self, store):
         t = make_list([Atom("a"), Atom("b")])
-        items, tail = list_to_python(store, t)
+        items, tail = list_to_python(t)
         assert [store.deref(i) for i in items] == [Atom("a"), Atom("b")]
         assert tail is NIL
