@@ -18,12 +18,13 @@ the complement's subcat list plus its subject as a realized argument.
 `install` checks the entries, declares each soa sort under the grammar's
 `soa`, and adds the entries' clauses (stem/2, finite_form/2,
 nonfinite_ok/1, noun_entry/2, adverbial_entry/2) to a Program as one
-`solver.Words` per predicate: every lexicon error is raised there, yet no
-clause is made.  A word's clause is made the first time a goal names
-the word (or asks for every clause of its predicate), copied from a
-shape read once per kind of entry; a sentence uses a few of a large
-lexicon's words.  `compile` writes the same sorts and clauses as source
-text: the reference install is tested against, not a step of it.
+`solver.Words` per predicate, an item of the predicate's clause list:
+every lexicon error is raised there, yet no clause is made.  A word's
+clause is made the first time a goal names the word (or asks for every
+clause of its predicate), copied from a shape read once per kind of
+entry; a sentence uses a few of a large lexicon's words.  `compile`
+writes the same sorts and clauses as source text: the reference install
+is tested against, not a step of it.
 """
 
 from __future__ import annotations
@@ -88,24 +89,30 @@ def _fill(shape: tuple, names: dict, sorts: SortTable, soa: str | None, pos) -> 
     """A copy of the shape clause, fresh node by node as read, with slot
     atoms and roles renamed by `names`, and the sort named `soa` in place
     of the grammar's sort `soa`."""
-    fresh: dict[Var, Var] = {}
-
-    def term(t):
-        tp = type(t)
-        if tp is Atom:
-            return Atom(names.get(t.name, t.name))
-        if tp is Var:
-            return fresh.get(t) or fresh.setdefault(t, Var(t.name))
-        if tp is Struct:
-            return Struct(t.name, [term(a) for a in t.args])
-        if tp is ListCons:
-            return ListCons(term(t.head), term(t.tail))
-        if tp is Avm:
-            return Avm(sorts.get(soa) if t.sort.name == "soa" else t.sort,
-                       {names.get(f, f): term(x) for f, x in t.feats.items()})
-        return t  # NIL
     head, body = shape
-    return Clause(term(head), tuple(map(term, body)), pos)
+    sort, fresh = soa and sorts.get(soa), {}
+    return Clause(_renamed(head, names, sort, fresh),
+                  tuple(_renamed(t, names, sort, fresh) for t in body), pos)
+
+
+def _renamed(t, names: dict, soa, fresh: dict):
+    """The copy `_fill` makes of `t`; `fresh` maps each variable met so far
+    to its copy."""
+    tp = type(t)
+    if tp is Atom:
+        return Atom(names.get(t.name, t.name))
+    if tp is Var:
+        return fresh.get(t) or fresh.setdefault(t, Var(t.name))
+    if tp is Struct:
+        return Struct(t.name, [_renamed(a, names, soa, fresh) for a in t.args])
+    if tp is ListCons:
+        return ListCons(_renamed(t.head, names, soa, fresh),
+                        _renamed(t.tail, names, soa, fresh))
+    if tp is Avm:
+        return Avm(soa if t.sort.name == "soa" else t.sort,
+                   {names.get(f, f): _renamed(x, names, soa, fresh)
+                    for f, x in t.feats.items()})
+    return t  # NIL
 
 
 def _check_atom(value: str, what: str, lineno: int) -> str:
@@ -295,10 +302,11 @@ class Lexicon:
 
     def install(self, program) -> None:
         """Declare the soa sorts on `program` and add the clauses `compile`'s
-        text reads as, one `Words` per predicate: no clause is made here.
-        A word's clause is `_fill`ed from the shape of its kind of entry
-        (`_slot`), read once, when a goal first names the word.  Installing
-        the same lexicon text twice adds nothing."""
+        text reads as, one `Words` per predicate, appended to its clause
+        list like any loaded clause: no clause is made here.  A word's
+        clause is `_fill`ed from the shape of its kind of entry (`_slot`),
+        read once, when a goal first names the word or asks for every
+        clause.  Installing the same lexicon text twice adds nothing."""
         if self.digest in program.loaded:
             return
         sorts = program.sorts

@@ -140,9 +140,9 @@ class ParseResult:
 class _Signs:
     """What one parse's derivations share to make their signs on demand:
     the tokens, the parse's readings, and each replayed attempt's
-    derivations by head index, every sign resolved.  The derivations hold
-    it, and it holds none of theirs, so a result makes no reference
-    cycle."""
+    derivations by head index, every sign resolved.  Only a derivation
+    whose sign is not made yet holds it, so the replayed ones do not, and
+    a result makes no reference cycle."""
 
     __slots__ = ("parser", "tokens", "readings", "loaded", "replayed")
 
@@ -303,14 +303,15 @@ class Parser:
         if known is None:
             known = signs.readings[reading] = (reading, canonical_text(reading))
             every_sign = True
+        made = resolve(store, sign) if every_sign else None
         return Derivation(
             head_index=h,
             reading=known[0],
             reading_text=known[1],
             members=info,
             cluster=cluster_expand(sign),
-            _sign=resolve(store, sign) if every_sign else None,
-            _signs=signs,
+            _sign=made,
+            _signs=signs if made is None else None,
             _index=index,
         )
 
@@ -396,23 +397,21 @@ def _feat_atom(m, name: str) -> str | None:
 
 def cluster_expand(sign) -> list[str]:
     """Surface order of the verb cluster of a live or resolved sign: its
-    own form, then every governed verbal member, skipping members already
-    listed (a flat list names each inherited complement at several
-    levels)."""
+    own form, then every governed verbal member, depth first, skipping
+    members already listed (a flat list names each inherited complement
+    at several levels)."""
     out: list[str] = []
     seen: set[int] = set()
-
-    def walk(v) -> None:
+    stack = [deref(sign)]
+    while stack:
+        v = stack.pop()
         if id(v) in seen:
-            return
+            continue
         seen.add(id(v))
         lex = _feat_atom(v, "lex")
         if lex is not None:
             out.append(lex)
-        for m in list_to_python(v.feats.get("sc", NIL))[0]:
-            m = deref(m)
-            if type(m) is Avm and _feat_atom(m, "dir") == "right":
-                walk(m)
-
-    walk(deref(sign))
+        members = [m for m in map(deref, list_to_python(v.feats.get("sc", NIL))[0])
+                   if type(m) is Avm and _feat_atom(m, "dir") == "right"]
+        stack += reversed(members)
     return out

@@ -34,6 +34,10 @@ nothing.  The matchers unify the goal with the head as read, filling a
 fresh list of registers, so a head that fails builds next to nothing.
 Only once the head has unified are the body goals built, from the same
 registers, so the body's variables are the goal terms the head met.
+
+A Program keeps one clause list per predicate, in load order, which
+`Program.candidates` alone reads.  An item of it may be a `Words`: one
+clause per word, made when a goal first names the word or every clause.
 """
 
 from __future__ import annotations
@@ -95,8 +99,8 @@ class Clause:
 
 class Words:
     """The clauses of the predicate `key`, one per word, each made by
-    `make(word)` the first time a goal names the word as first argument
-    (`Program.candidates`), and kept."""
+    `make(word)` the first time it is asked for, and kept.  It is one item
+    of its predicate's clause list (`Program`)."""
 
     __slots__ = ("key", "names", "make", "made")
 
@@ -105,9 +109,6 @@ class Words:
         self.names = dict.fromkeys(words)
         self.make = make
         self.made: dict[str, Clause] = {}
-
-    def __len__(self):
-        return len(self.names)
 
     def clause(self, word: str) -> Clause:
         c = self.made.get(word)
@@ -138,14 +139,16 @@ def _index_key(t):
 
 class Program:
     """Sorts, clauses and block declarations, from source text or
-    `add_clauses`.  The clauses of a `Words` are made by `candidates`."""
+    `add_clauses`.  Each predicate has one clause list, in load order, in
+    which a `Words` stands for its words' clauses; `candidates` makes a
+    word's clause when a goal names the word, and replaces the `Words`
+    with all of its clauses when a goal asks for every clause."""
 
     def __init__(self, sorts: SortTable | None = None):
         self.sorts = sorts if sorts is not None else SortTable()
-        self._clauses: dict[tuple[str, int], list[Clause]] = {}
-        # predicates with `Words` not yet made whole: their clauses in order,
-        # as lists of clauses between the `Words`
-        self._unfilled: dict[tuple[str, int], list] = {}
+        self._clauses: dict[tuple[str, int], list] = {}
+        # the predicates whose clause list still holds a `Words`
+        self._words: set[tuple[str, int]] = set()
         self._blocks: dict[tuple[str, int], BlockSpec] = {}
         # digests of the sources whose clauses were added
         self.loaded: set[str] = set()
@@ -191,18 +194,12 @@ class Program:
         self.table.clear()
         for c in clauses:
             if type(c) is Words:
-                parts = self._unfilled.get(c.key)
-                if parts is None:
-                    parts = self._unfilled[c.key] = [self._clauses.pop(c.key, [])]
-                parts += (c, [])
-                continue
-            head = c.head
-            key = (head.name, len(head.args) if type(head) is Struct else 0)
-            parts = self._unfilled.get(key)
-            if parts is None:
-                self._clauses.setdefault(key, []).append(c)
+                key = c.key
+                self._words.add(key)
             else:
-                parts[-1].append(c)
+                head = c.head
+                key = (head.name, len(head.args) if type(head) is Struct else 0)
+            self._clauses.setdefault(key, []).append(c)
 
     def ensure_predicate(self, name: str, arity: int) -> None:
         """Register a predicate with no clauses yet, so calling it fails
@@ -222,7 +219,7 @@ class Program:
             self._filtered[k] = self._filtered.get(k, []) + clauses
 
     def defines(self, name: str, arity: int) -> bool:
-        return (name, arity) in self._clauses or (name, arity) in self._unfilled
+        return (name, arity) in self._clauses
 
     def block_spec(self, name: str, arity: int) -> BlockSpec | None:
         return self._blocks.get((name, arity))
@@ -232,41 +229,27 @@ class Program:
         arguments `args`, in clause order: those whose first argument has
         the goal's first-argument key or is a variable.  A predicate with
         at most one clause, or a goal with no first argument or an unbound
-        one, gets every clause.  A word of `Words` has its clause made when
-        a goal first names it, or when every clause is asked for."""
-        try:
-            clauses = self._clauses[key]
-        except KeyError:
-            return self._unfilled_candidates(key, store, args)
-        if len(clauses) <= 1 or not args:
+        one, gets every clause.  A `Words` gives the clause of the word a
+        goal names, made the first time; a goal that gets every clause
+        replaces the predicate's list, once, with every `Words` made."""
+        clauses = self._clauses[key]
+        words = key in self._words
+        if not words and len(clauses) <= 1:
             return clauses
-        g = _index_key(store.deref(args[0]))
-        if g is None:
-            return clauses
-        out = self._filtered.get((key, g))
-        if out is None:
-            out = self._filtered[key, g] = [
-                c for c in clauses if c.index_key is None or c.index_key == g]
-        return out
-
-    def _unfilled_candidates(self, key, store, args) -> list[Clause]:
-        parts = self._unfilled[key]
         g = _index_key(store.deref(args[0])) if args else None
-        if g is None or sum(map(len, parts)) <= 1:
-            clauses = [c for part in parts
-                       for c in (part if type(part) is list else part.clauses())]
-            del self._unfilled[key]
-            self._clauses[key] = clauses
+        if g is None:
+            if words:
+                self._words.discard(key)
+                clauses = self._clauses[key] = [
+                    c for item in clauses
+                    for c in (item.clauses() if type(item) is Words else (item,))]
             return clauses
         out = self._filtered.get((key, g))
         if out is None:
-            out = []
-            for part in parts:
-                if type(part) is list:
-                    out += [c for c in part if c.index_key is None or c.index_key == g]
-                elif g[0] == "atom" and g[1] in part.names:
-                    out.append(part.clause(g[1]))
-            self._filtered[key, g] = out
+            word = g[1] if g[0] == "atom" else None
+            out = self._filtered[key, g] = [
+                c.clause(word) if type(c) is Words else c for c in clauses
+                if (word in c.names if type(c) is Words else c.index_key in (None, g))]
         return out
 
 

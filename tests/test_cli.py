@@ -1,6 +1,7 @@
 """Command line front end: exit codes, formats, env fallbacks, tracing."""
 
 import json
+import runpy
 import subprocess
 import sys
 
@@ -128,6 +129,22 @@ class TestCorpusCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_grammatical_expectation_after_spaces(self, capsys, tmp_path):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("dat arie wil slapen\t+\ndat arie bob wil slapen   +\n")
+        code, out, _ = run_cli(capsys, "corpus", "--corpus", str(corpus))
+        assert code == 1
+        assert "PASS  dat arie wil slapen  (expected +, got 1)" in out
+        assert "FAIL  dat arie bob wil slapen  (expected +, got 0)" in out
+
+    def test_unreadable_line_exits_two(self, capsys, tmp_path):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("dat arie wil slapen\t1\ndat arie bob kust\tmany\n")
+        code, out, err = run_cli(capsys, "corpus", "--corpus", str(corpus))
+        assert code == 2 and out == ""
+        assert err == ("error: corpus line 2: cannot read "
+                       "'dat arie bob kust\\tmany'\n")
+
     def test_empty_corpus_warns(self, capsys, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
@@ -230,6 +247,16 @@ class TestTraceCommand:
         assert code == 0
         assert f"grammatical: {verdict}" in parsed.splitlines()
         assert traced.splitlines()[-1] == f"grammatical: {verdict}"
+
+    def test_calling_a_variable_or_record_exits_two(self, capsys, tmp_path):
+        grammar = tmp_path / "g.clg"
+        grammar.write_text(fragment_source() + "call_it(G) :- G.\n")
+        for goal, message in [("call_it(X).", "unbound variable called as a goal"),
+                              ("call_it(@sign{}).", "cannot call")]:
+            code, _, err = run_cli(capsys, "trace", "--grammar", str(grammar),
+                                   "--goal", goal)
+            assert code == 2
+            assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     def test_requires_sentence_or_goal(self, capsys):
         assert run_cli(capsys, "trace")[0] == 2
@@ -343,9 +370,26 @@ class TestEnvFallbacks:
             assert "must not be negative" in capsys.readouterr().err
 
 
-def test_module_entry_point():
+@pytest.mark.parametrize("option", ["--grammar", "--lexicon", "--corpus"])
+def test_unreadable_file_exits_two(capsys, tmp_path, option):
+    missing = tmp_path / "missing.txt"
+    command = "corpus" if option == "--corpus" else "parse"
+    argv = [command] + (["dat arie wil slapen"] if command == "parse" else [])
+    code, out, err = run_cli(capsys, *argv, option, str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+def test_module_entry_point(capsys, monkeypatch):
     proc = subprocess.run(
         [sys.executable, "-m", "clgram", "parse", "dat arie wil slapen"],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "grammatical: yes" in proc.stdout
+    # the same entry point in this process
+    monkeypatch.setattr(sys, "argv", ["clgram", "parse", "dat arie wil slapen"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("clgram", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == proc.stdout

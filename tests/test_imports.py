@@ -1,6 +1,8 @@
-"""Every module under src/clgram uses what it imports at top level.  No
-linter ships with the project, so this is the unused-import check; a
-line marked `# noqa: F401` is a deliberate re-export."""
+"""Every module under src/clgram uses what it imports at top level, and
+every private top-level function, class and constant is named somewhere
+else under src/clgram.  No linter ships with the project, so these are
+the unused-import and unused-definition checks; a line marked
+`# noqa: F401` is a deliberate re-export."""
 
 import ast
 from pathlib import Path
@@ -37,3 +39,49 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def references(node) -> set[str]:
+    """The names `node` reads, as names, attributes or imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def private_names(node) -> list[str]:
+    """The private names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unused_private(path: Path) -> list[str]:
+    """The private top-level definitions of `path` that no other
+    statement under src/clgram names; a definition naming itself, as a
+    recursive function does, does not count."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    body = trees.pop(path).body
+    elsewhere = set().union(*map(references, trees.values()))
+    out = []
+    for i, node in enumerate(body):
+        for name in private_names(node):
+            if name not in elsewhere and not any(
+                    name in references(other) for j, other in enumerate(body) if j != i):
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_private_definitions(path):
+    assert unused_private(path) == []

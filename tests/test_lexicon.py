@@ -243,6 +243,29 @@ class TestLazyFill:
         assert words == list(Lexicon(lexicon_source() + MANY).verbs)
 
 
+class TestLoadedAfterInstall:
+    """Source clauses loaded after an install follow the lexicon's words
+    in their predicate's clause order."""
+
+    def test_loaded_clauses_follow_the_lexicon_words(self, made):
+        lexicon = Lexicon(lexicon_source() + MANY)
+        program = installed(lexicon)
+        extra = "stem(zz_extra, none).\nstem(W, none) :- noun_entry(W, _).\n"
+        program.load(extra, "<extra>")
+        reference = read_back(lexicon)
+        reference.load(extra, "<extra>")
+        key = ("stem", 2)
+        assert rows(naming(program, key, "zzv3")) == rows(naming(reference, key, "zzv3"))
+        assert len(naming(program, key, "zzv3")) == 2
+        assert rows(naming(program, key, "zz_extra")) == \
+            rows(naming(reference, key, "zz_extra"))
+        assert made == [("stem", "zzv3")]
+        stems = every_clause(program, key)
+        assert [c.head.args[0] for c in stems[:-2]] == [Atom(w) for w in lexicon.verbs]
+        assert rows(stems) == rows(every_clause(reference, key))
+        assert made.count(("stem", "zzv3")) == 1
+
+
 class TestErrors:
     @pytest.mark.parametrize("text, message", [
         ("zz\tverb\tframe=iv soa=noun roles=a\n",

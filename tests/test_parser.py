@@ -1,5 +1,6 @@
 """End-to-end parsing: judgments, ambiguity, scope, cluster structure."""
 
+import gc
 import hashlib
 import random
 import time
@@ -563,6 +564,20 @@ class TestSignsOnDemand:
         n = len(events)
         assert n and all(d.sign is not None for d in result.derivations)
         assert len(events) == n
+
+    def test_a_parse_leaves_no_reference_cycle(self):
+        # made cold, so the lexicon clauses and tables are made in the parse
+        parser = Parser(*build_program())
+        gc.collect()
+        gc.disable()
+        try:
+            result = parser.parse(self.SENTENCE)
+            for d in result.derivations:
+                assert d.sign is not None
+            del result, d
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_a_sign_after_a_load_is_an_error(self):
         program, lexicon = build_program()

@@ -1,6 +1,6 @@
 """Randomized invariants for unification and the delaying engine."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from clgram import (Atom, Avm, Engine, ListCons, NIL, Solution, SortTable,
@@ -174,12 +174,15 @@ def goal_part(spec):
 
 
 # A record, list or structure that the head holds at two positions, as a
-# tabled answer can, with the two goal terms that meet it there.
+# tabled answer can, with the two goal terms that meet it there, and which
+# position (1 or 2, 0 for neither) holds it as the tail of one more list
+# cell, so that a shared list cell can come past a list's first cell.
 shared_nodes = st.one_of(
     st.builds(lambda item: ("list", (item,), None), specs),
     st.builds(lambda sort, value: ("avm", sort, (("f", value),)), SORTS, specs),
     st.builds(lambda name, arg: ("struct", name, (arg,)), ATOMS, specs),
-).flatmap(lambda s: st.tuples(st.just(s), goal_part(s), goal_part(s)))
+).flatmap(lambda s: st.tuples(st.just(s), goal_part(s), goal_part(s),
+                              st.sampled_from([0, 1, 2])))
 
 
 def build_clause(store, goal_spec, head_spec, body_spec, shared):
@@ -191,11 +194,15 @@ def build_clause(store, goal_spec, head_spec, body_spec, shared):
     body = build(store, body_spec, head_env)
     if shared is None:
         return Struct("w", (goal,)), Struct("w", (head,)), (Struct("b", (body,)),)
-    node_spec, first, second = shared
+    node_spec, first, second, wrapped = shared
     node = build(store, node_spec, head_env)
-    return (Struct("w", (goal, build(store, first, goal_env),
-                         build(store, second, goal_env))),
-            Struct("w", (head, node, node)), (Struct("b", (body, node)),))
+    held = [node, node]
+    met = [build(store, first, goal_env), build(store, second, goal_env)]
+    if wrapped:
+        held[wrapped - 1] = ListCons(Atom("a"), node)
+        met[wrapped - 1] = ListCons(Atom("a"), met[wrapped - 1])
+    return (Struct("w", (goal, *met)), Struct("w", (head, *held)),
+            (Struct("b", (body, node)),))
 
 
 @settings(max_examples=300, **SETTINGS)
@@ -204,6 +211,12 @@ def build_clause(store, goal_spec, head_spec, body_spec, shared):
     st.tuples(st.just(s), generalised(s)),
     st.tuples(generalised(s), st.just(s)))),
     specs, st.one_of(st.none(), shared_nodes))
+@example(pair=(("var", "X"), ("var", "X")), body_spec=("atom", "a"),
+         shared=(("list", (("var", "Y"),), None), ("var", "Z"),
+                 ("list", (("atom", "b"),), None), 1))
+@example(pair=(("var", "X"), ("var", "X")), body_spec=("atom", "a"),
+         shared=(("list", (("var", "Y"),), None), ("list", (("atom", "b"),), None),
+                 ("var", "Z"), 2))
 def test_match_is_unify_with_a_copy(pair, body_spec, shared):
     # the clause is as read: built apart, never bound
     goal_spec, head_spec = pair

@@ -78,6 +78,24 @@ class TestDelay:
         resumed = [e[1].name for e in events if e[0] == "resume"]
         assert resumed == ["w1", "w2"]
 
+    def test_two_block_declarations_for_one_predicate(self):
+        # p/2 suspends while either argument is unbound; a repeated
+        # declaration adds no pattern
+        prog = Program()
+        prog.load(":- block p(-, ?).\n:- block p(?, -).\n:- block p(-, ?).\n"
+                  "p(a, b).\neq(A, A).\n")
+        assert prog.block_spec("p", 2).patterns == ((True, False), (False, True))
+        events = []
+        eng = Engine(prog, trace=lambda ev, store: events.append(ev[0]))
+        for goal in ("p(X, b).", "p(a, Y)."):
+            sols = run(eng, goal)
+            assert len(sols) == 1 and len(sols[0].residue) == 1
+        events.clear()
+        sols = run(eng, "p(X, Y), eq(X, a), eq(Y, b).")
+        assert len(sols) == 1 and not sols[0].residue
+        assert events.count("suspend") == 2 and events.count("resume") == 2
+        assert len(run(eng, "p(a, b).")) == 1
+
     def test_add_adj_insertion_enumeration(self, program):
         # one member embedded into two slots: insert before or after it
         sols = run(Engine(program), "add_adj([x], [A, B], s, S).")
@@ -194,6 +212,13 @@ class TestEnumeration:
     def test_undefined_predicate_raises(self, program):
         with pytest.raises(UndefinedPredicateError):
             run(Engine(program), "nosuch(a).")
+        # a body goal that is, when called, an unbound variable or a record
+        prog = Program()
+        prog.load("sort sign < top.\ncall_it(G) :- G.\n")
+        with pytest.raises(UndefinedPredicateError, match="unbound variable"):
+            run(Engine(prog), "call_it(X).")
+        with pytest.raises(UndefinedPredicateError, match="cannot call"):
+            run(Engine(prog), "call_it(@sign{}).")
 
     def test_declared_predicate_may_be_empty(self, program):
         # the lexicon declares hooks even when a class has no entries
