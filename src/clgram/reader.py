@@ -203,6 +203,7 @@ class _Parser:
     # -- terms
 
     def term(self):
+        # recursive, but bounded by MAX_TERM_DEPTH
         t = self.next()
         if t.kind == "VAR":
             if t.text == "_":

@@ -15,13 +15,14 @@ grammar relies on for its scope distinctions.  Since a binding lives on
 the term, a term belongs to one live store at a time; every Engine and
 parser attempt builds its own terms and undoes to its mark when done.
 
-The occurs check is always on.  It runs in full where two goal terms
-unify.  A clause is tried through code `compile_clause` makes on its
-first try, WAM-style: one matcher per head argument and one builder per
-body goal, over a list of registers that hold the clause's variables and
-the nodes it holds twice.  The matchers unify the goal with the head as
-read and build only what the goal lacks.  Since a built term is fresh
-except for registers filled before it, they check only those registers.
+The occurs check is always on: a unification that would make a term
+contain itself fails.  It walks in full where two goal terms unify.  A
+clause is tried through code `compile_clause` makes on its first try,
+WAM-style: one matcher per head argument and one builder per body goal,
+over a list of registers that hold the clause's variables and the nodes
+it holds twice.  The matchers unify the goal with the head as read and
+build only what the goal lacks.  Since a built term is fresh except for
+registers filled before it, they check only those registers.
 
 The store also owns the suspension machinery used by the solver: goals
 blocked on unbound variables are parked here, and binding one of their
@@ -383,39 +384,40 @@ def _unify(store: Store, a, b) -> bool:
 
 
 def _bind_var(store: Store, v: Var, t) -> bool:
-    if _occurs(v, t):
+    if _occurs((v,), [t]):
         return False
     store._bind(v, t)
     return True
 
 
-def _occurs(target, t, seen: set | None = None) -> bool:
-    """Does `target` (an unbound variable or a record) occur in `t`?
-    Guards binding and merging against building a term that contains
-    itself.  Records walked are kept in `seen`, so a record shared by
-    several paths is walked once."""
-    t = deref(t)
-    while type(t) is ListCons:
-        if _occurs(target, t.head, seen):
-            return True
-        t = deref(t.tail)
-    if t is target:
-        return True
-    tp = type(t)
-    if tp is Struct:
-        for a in t.args:
-            if _occurs(target, a, seen):
+def _occurs(targets: tuple, terms: list) -> bool:
+    """Does one of `targets`, unbound variables or records, occur in one of
+    `terms`?  Binds and merges ask, so as never to build a term that holds
+    itself.  One walk, using up `terms` as its stack, visits each list
+    cell, structure and record once however many paths reach it, and ends
+    at the first target met.  Its visited set is made at the first such
+    node, so a walk over atoms and variables makes none."""
+    seen = None
+    while terms:
+        t = deref(terms.pop())
+        tp = type(t)
+        if tp is Atom or tp is _Nil:
+            continue
+        if tp is Var or tp is Avm:
+            if t in targets:
                 return True
-        return False
-    if tp is Avm:
+            if tp is Var:
+                continue
         if seen is None:
             seen = set()
-        if id(t) in seen:
-            return False
-        seen.add(id(t))
-        for x in t.feats.values():
-            if _occurs(target, x, seen):
-                return True
+        elif t in seen:
+            continue
+        seen.add(t)
+        if tp is ListCons:
+            terms.append(t.tail)
+            terms.append(t.head)
+        else:
+            terms.extend(t.args if tp is Struct else t.feats.values())
     return False
 
 
@@ -423,7 +425,7 @@ def _merge_avms(store: Store, a: Avm, b: Avm) -> bool:
     meet = store.sorts.meet(a.sort, b.sort)
     if meet is None:
         return False
-    if _occurs(b, a) or _occurs(a, b):
+    if _occurs((a, b), [*a.feats.values(), *b.feats.values()]):
         return False
     store._set_ref(b, a)
     if a.sort is not meet:
@@ -572,10 +574,7 @@ class _ClauseWalk:
 def _checked(v: Var, early: tuple, regs: list) -> bool:
     """May the goal variable `v` take a copied clause term holding the
     registers `early`?"""
-    for e in early:
-        if _occurs(v, regs[e]):
-            return False
-    return True
+    return not early or not _occurs((v,), [regs[e] for e in early])
 
 
 def _const_code(c) -> tuple:
@@ -733,12 +732,10 @@ def _list_code(cell_regs: tuple, matchers: tuple, builders: tuple, tail: tuple,
                     return False
                 g = g.tail
                 i += 1
-            elif tp is Var:
+            elif tp is Var and not _occurs((g,), [regs[e] for e, j in last
+                                                  if j >= i and regs[e] is not None]):
                 # the copy from cell i holds the registers its cells reach
                 # and that were filled before it
-                for e, j in last:
-                    if j >= i and regs[e] is not None and _occurs(g, regs[e]):
-                        return False
                 store._bind(g, build_from(regs, i))
                 return True
             else:

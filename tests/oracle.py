@@ -9,12 +9,16 @@ Semantics are assembled bottom-up as canonical tuples in the same shape
 the engine's canonical form uses.
 
 No solver machinery is imported: this is a from-scratch model used to
-cross-check the engine's counts.
+cross-check the engine's counts.  `ReferenceUnifier` at the end is the
+same kind of model for `terms.unify`: it reads the engine's term classes
+but none of its unification or store code.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+
+from clgram.terms import Atom, Avm, ListCons, Struct, Var
 
 MAIN_FRAMES = ("iv", "tv", "dtv")
 
@@ -157,3 +161,89 @@ def oracle_parse(lexicon, tokens: list[str]) -> tuple[int, Counter]:
             readings[_build_sem(chain, lexicon, 0, fillers[("subj",)],
                                 fillers)] += 1
     return derivations, readings
+
+
+class ReferenceUnifier:
+    """Plain recursive unification with a full occurs check, for terms
+    that no store has bound.  Bindings live in a dict keyed by node
+    identity: a variable maps to its value, a record to the record it
+    merged into, which is a fresh record with the sort meet and the
+    survivor's features followed by the other's new ones, as the engine
+    orders them.  A failed unify leaves the dict in a partial state."""
+
+    def __init__(self, sorts):
+        self.sorts = sorts
+        self.bound: dict[int, object] = {}   # its values keep merged records alive
+
+    def deref(self, t):
+        while id(t) in self.bound:
+            t = self.bound[id(t)]
+        return t
+
+    def occurs(self, target, t) -> bool:
+        t = self.deref(t)
+        if t is target:
+            return True
+        if isinstance(t, ListCons):
+            return self.occurs(target, t.head) or self.occurs(target, t.tail)
+        if isinstance(t, Struct):
+            return any(self.occurs(target, a) for a in t.args)
+        if isinstance(t, Avm):
+            return any(self.occurs(target, v) for v in t.feats.values())
+        return False
+
+    def unify(self, a, b) -> bool:
+        a, b = self.deref(a), self.deref(b)
+        if a is b:
+            return True
+        if isinstance(a, Var) or isinstance(b, Var):
+            v, t = (a, b) if isinstance(a, Var) else (b, a)
+            if self.occurs(v, t):
+                return False
+            self.bound[id(v)] = t
+            return True
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Atom):
+            return a.name == b.name
+        if isinstance(a, ListCons):
+            return self.unify(a.head, b.head) and self.unify(a.tail, b.tail)
+        if isinstance(a, Struct):
+            return (a.name == b.name and len(a.args) == len(b.args)
+                    and all(self.unify(x, y) for x, y in zip(a.args, b.args)))
+        if isinstance(a, Avm):
+            meet = self.sorts.meet(a.sort, b.sort)
+            if meet is None or self.occurs(a, b) or self.occurs(b, a):
+                return False
+            merged = Avm(meet, dict(a.feats))
+            self.bound[id(a)] = self.bound[id(b)] = merged
+            for f, v in b.feats.items():
+                survivor = self.deref(merged)
+                if f not in survivor.feats:
+                    survivor.feats[f] = v
+                elif not self.unify(survivor.feats[f], v):
+                    return False
+            return True
+        return False    # NIL is one object, met above
+
+    def canonical(self, t, numbering: dict | None = None) -> tuple:
+        """The form `render.canonical` gives `t` once the engine has made
+        these bindings: variables numbered by first visit, records'
+        features sorted."""
+        if numbering is None:
+            numbering = {}
+        t = self.deref(t)
+        if isinstance(t, Atom):
+            return ("atom", t.name)
+        if isinstance(t, Var):
+            return ("var", numbering.setdefault(id(t), len(numbering) + 1))
+        if isinstance(t, ListCons):
+            return ("cons", self.canonical(t.head, numbering),
+                    self.canonical(t.tail, numbering))
+        if isinstance(t, Struct):
+            return ("struct", t.name,
+                    tuple(self.canonical(a, numbering) for a in t.args))
+        if isinstance(t, Avm):
+            return ("avm", t.sort.name, tuple(sorted(
+                (f, self.canonical(v, numbering)) for f, v in t.feats.items())))
+        return ("nil",)

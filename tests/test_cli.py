@@ -328,6 +328,29 @@ class TestNestingBound:
         assert solution["bindings"]["X"] == [{"atom": "a"}] * 5000
 
 
+class TestBuiltDepth:
+    """Terms built at run time are not bounded by the reader, and some
+    walkers still recurse once per level of them.  These crash today;
+    each marker turns into a failure (XPASS) the day its walker no longer
+    recurses, and should then be dropped."""
+
+    @pytest.mark.xfail(strict=True, raises=RecursionError,
+                       reason="terms.copy_term recurses once per level")
+    def test_long_chain_of_bindings(self, capsys):
+        goal = ", ".join(f"eq(X{i}, f(X{i + 1}))" for i in range(700)) + "."
+        code, _, err = run_cli(capsys, "trace", "--goal", goal)
+        assert code == 0 and err == ""
+
+    @pytest.mark.xfail(strict=True, raises=RecursionError,
+                       reason="render.canonical_text recurses once per level")
+    def test_goal_growing_past_the_reader_bound(self, capsys, tmp_path):
+        grammar = tmp_path / "g.clg"
+        grammar.write_text(fragment_source() + "grow(X) :- grow(f(X)).\n")
+        code, _, err = run_cli(capsys, "trace", "--grammar", str(grammar),
+                               "--max-depth", "2000", "--goal", "grow(a).")
+        assert code == 2 and "Traceback" not in err
+
+
 class TestEnvFallbacks:
     def test_format_env(self, capsys, monkeypatch):
         monkeypatch.setenv("FORMAT", "json")

@@ -2,7 +2,8 @@
 every private top-level function, class and constant is named somewhere
 else under src/clgram.  No linter ships with the project, so these are
 the unused-import and unused-definition checks; a line marked
-`# noqa: F401` is a deliberate re-export."""
+`# noqa: F401` is a deliberate re-export.  A last check keeps the list
+of functions that call themselves."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,42 @@ def unused_private(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_private_definitions(path):
     assert unused_private(path) == []
+
+
+# Walkers that still recurse once per level of a term; the list should
+# only shrink.  `reader._Parser.term` is bounded by `MAX_TERM_DEPTH`.
+RECURSIVE = {
+    "lexicon._renamed", "reader._Parser.term", "render._text",
+    "render._to_json", "render.canonical", "render.canonical_text",
+    "terms._ClauseWalk.node", "terms._count_nodes", "terms._unify",
+    "terms.copy_term",
+}
+
+
+def self_calling(tree: ast.Module, module: str) -> set[str]:
+    """The functions and methods of `tree` that call themselves by name,
+    as `f(...)` or `self.f(...)`.  Mutual recursion (`_unify` and
+    `_merge_avms`, `node` and `spine`) is not seen."""
+    out = set()
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for n in ast.walk(child):
+                    f = n.func if isinstance(n, ast.Call) else None
+                    if (isinstance(f, ast.Name) and f.id == child.name
+                            or isinstance(f, ast.Attribute) and f.attr == child.name
+                            and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                        out.add(f"{module}.{prefix}{child.name}")
+                visit(child, prefix)
+    visit(tree, "")
+    return out
+
+
+def test_recursive_walkers_are_the_known_ones():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= self_calling(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == RECURSIVE

@@ -7,6 +7,7 @@ from clgram import (Atom, Avm, Engine, ListCons, NIL, Solution, SortTable,
                     Store, Struct, Var, canonical, copy_term, make_list,
                     resolve, unify)
 from clgram.solver import Clause
+from oracle import ReferenceUnifier
 
 SETTINGS = dict(derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -111,6 +112,32 @@ def test_failed_unify_leaves_no_trace(s1, s2):
         assert store.mark() == mark
         assert snap(store, a) == before_a
         assert snap(store, b) == before_b
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(specs, specs)
+@example(("var", "X"), ("struct", "f", (("var", "X"),)))
+@example(("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))),
+         ("struct", "g", (("avm", "sign", (("g", ("var", "Y")),)), ("var", "Y"))))
+@example(("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))),
+         ("struct", "g", (("avm", "sign", ()), ("var", "X"))))
+@example(("struct", "g", (("avm", "sign", ()), ("var", "X"))),
+         ("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))))
+def test_unify_agrees_with_the_reference(s1, s2):
+    # one variable env, so a pair can form a cycle: X against f(X), or
+    # records that come to reach each other
+    store = Store(sort_table())
+    env: dict = {}
+    a, b = build(store, s1, env), build(store, s2, env)
+    ref = ReferenceUnifier(store.sorts)
+    ok = ref.unify(a, b)
+    want = (ref.canonical(a), ref.canonical(b)) if ok else None
+    mark = store.mark()
+    assert unify(store, a, b) == ok
+    if ok:
+        assert (canonical(a), canonical(b)) == want
+    else:
+        assert store.mark() == mark
 
 
 @settings(max_examples=150, **SETTINGS)

@@ -2,6 +2,7 @@
 
 import pytest
 
+import clgram.terms
 from clgram import (Atom, Avm, ListCons, NIL, SortError, SortTable, Store,
                     Struct, Var, canonical, copy_term, list_to_python,
                     make_list, resolve, unify)
@@ -149,6 +150,66 @@ class TestOccursCheck:
             assert unify(store, value, inner)
         outer = Avm(sorts.get("sign"), {"f": value})
         assert not unify(store, inner, outer)
+
+    def test_deep_built_chain_binds_without_recursion(self, store):
+        # built, not read, so the reader's depth bound does not apply
+        x, y = store.new_var(), store.new_var()
+        deep, holding_y = Atom("a"), y
+        for _ in range(10_000):
+            deep = Struct("f", (deep,))
+            holding_y = Struct("f", (holding_y,))
+        assert unify(store, x, deep)
+        assert store.deref(x) is deep
+        mark = store.mark()
+        assert not unify(store, y, holding_y)
+        assert store.mark() == mark
+
+    def test_shared_chain_is_checked_in_linear_time(self, store, monkeypatch):
+        # X(i+1) = f(Xi, Xi): n + 1 nodes, 2^n paths from the top
+        n = 22
+        x = store.new_var()
+        chain = x
+        for _ in range(n):
+            chain = Struct("f", (chain, chain))
+        calls = 0
+        real = clgram.terms.deref
+
+        def counting(t):
+            nonlocal calls
+            calls += 1
+            return real(t)
+        monkeypatch.setattr(clgram.terms, "deref", counting)
+        assert unify(store, store.new_var(), chain)
+        assert not unify(store, x, chain)
+        assert calls <= 8 * n
+
+    @pytest.mark.parametrize("holder_first", [True, False])
+    def test_record_reaching_the_other_through_a_shared_record(
+            self, store, sorts, holder_first):
+        held = Avm(sorts.get("sign"), {"g": Atom("b")})
+        shared = Avm(sorts.get("sign"), {"h": held})
+        holder = Avm(sorts.get("verbal"), {"f": shared, "sc": make_list([shared])})
+        before = canonical(holder)
+        a, b = (holder, held) if holder_first else (held, holder)
+        mark = store.mark()
+        assert not unify(store, a, b)
+        assert store.mark() == mark
+        assert all(store.deref(t) is t for t in (held, shared, holder))
+        assert canonical(holder) == before and holder.sort is sorts.get("verbal")
+
+    def test_check_over_atoms_and_variables_makes_no_visited_set(
+            self, store, monkeypatch):
+        made = []
+
+        def counting_set():
+            made.append(1)
+            return set()
+        monkeypatch.setattr(clgram.terms, "set", counting_set, raising=False)
+        assert unify(store, store.new_var(), Atom("a"))
+        assert unify(store, store.new_var(), store.new_var())
+        assert made == []
+        assert unify(store, store.new_var(), Struct("f", (Atom("a"),)))
+        assert made == [1]
 
 
 class TestFailurePurity:
