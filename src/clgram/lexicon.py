@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 from .errors import LexiconError
 from .reader import parse_source
-from .solver import Clause, Words, source_digest
+from .solver import Clause, Words
 from .terms import Atom, Avm, ListCons, SortTable, Struct, Var
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -124,7 +124,7 @@ def _check_atom(value: str, what: str, lineno: int) -> str:
 class Lexicon:
     def __init__(self, text: str, path: str | None = None):
         self.path = path
-        self.digest = source_digest(text)
+        self.text = text
         self.verbs: dict[str, VerbEntry] = {}
         self.nouns: dict[str, NounEntry] = {}
         self.advs: dict[str, AdvEntry] = {}
@@ -306,8 +306,8 @@ class Lexicon:
         list like any loaded clause: no clause is made here.  A word's
         clause is `_fill`ed from the shape of its kind of entry (`_slot`),
         read once, when a goal first names the word or asks for every
-        clause.  Installing the same lexicon text twice adds nothing."""
-        if self.digest in program.loaded:
+        clause.  The text goes in `program.loaded`: a second install adds nothing."""
+        if self.text in program.loaded:
             return
         sorts = program.sorts
         named = [e for e in (*self.verbs.values(), *self.advs.values()) if e.soa]
@@ -339,7 +339,7 @@ class Lexicon:
                   make("nonfinite_ok", verbs)),
             Words(("noun_entry", 2), self.nouns, make("noun_entry", self.nouns)),
             Words(("adverbial_entry", 2), self.advs, make("adverbial_entry", self.advs)),
-        ], self.digest)
+        ], self.text)
 
     # -- tokenization
 

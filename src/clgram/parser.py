@@ -64,13 +64,16 @@ read-only table (`_pairings`), built backwards over the states (k, i),
 member k next and i left tokens taken, says which pairings still let
 the later members finish, judging by sort alone.  An answer whose state
 (0, 0) cannot finish is skipped, and only the pairings the table allows
-are tried.  It reads each token's tabled answers once per attempt, as
-`Engine.table` returned them: a member fits a token if some answer is
-not a record or its sort meets the member's; an unbound member fits any
-token.  Matching only refines a member's sort, and in a sort tree a
-failed meet stays failed under refinement, so a pairing the table rules
-out could never have matched: the derivations and their order are
-unchanged.
+are tried.  A member fits a token if some of the token's tabled answers
+is not a record or has a sort that meets the member's; an unbound member
+fits any token.  Matching only refines a member's sort, and in a sort
+tree a failed meet stays failed under refinement, so a pairing the table
+rules out could never have matched: the derivations and their order are
+unchanged.  A table depends only on its frame and the tokens' answer
+sorts, so it is built once per Program: `Program.frame_index` keeps, per
+(head word, n, left and right answer sorts), the frames whose table
+passes, in answer order, each with its table, and an attempt pairs only
+those.  Loading source empties the index with the answer table.
 """
 
 from __future__ import annotations
@@ -220,25 +223,16 @@ class Parser:
             "lexical_dependent", (Atom(t), Var("Entry")))) for t in left]
         right_answers = [self._table(engine, ENTRY, Struct(
             "lexical_entry", (Atom(t), NONFINITE, Var("Entry")))) for t in right]
-        answers = self._frames(engine, word, len(tokens) - 1)
+        frames = self._frames(engine, word, len(tokens) - 1,
+                              tuple(_answer_sorts(a) for a in left_answers),
+                              tuple(_answer_sorts(a) for a in reversed(right_answers)))
         store = engine.store
-        left_sorts = [_answer_sorts(a) for a in left_answers]
-        right_sorts = [_answer_sorts(a) for a in reversed(right_answers)]
         lefts = [Atom(t) for t in left]
         rights = [Atom(t) for t in reversed(right)]
         out: list[Derivation] = []
         m0 = store.mark()
         try:
-            for answer in answers:
-                if answer.body:         # a frame leaves no residue
-                    continue
-                frame = answer.head.args[-1]    # paired in place, undone below
-                sc = list_to_python(frame.feats["sc"])[0]
-                members = sc[::-1]
-                table = _pairings(self.program.sorts, members,
-                                  left_sorts, right_sorts)
-                if not table[0][0]:
-                    continue
+            for frame, sc, members, table in frames:   # paired in place, undone below
                 for _ in _pair(engine, table, members, lefts, rights):
                     if store.pending_residue():
                         continue
@@ -255,14 +249,31 @@ class Parser:
                 f"(head {tokens[h]!r})")
         return out
 
-    def _frames(self, engine: Engine, word: str, n: int) -> list:
-        """The finite entries of `word` with `n` fresh subcat members,
-        tabled per (word, n); those that leave no residue are frames."""
-        skeleton = [engine.store.new_var(f"M{i + 1}") for i in range(n)]
-        sign = Avm(self.program.sorts.get("sign"),
-                   {"sc": make_list(skeleton), "slash": NIL})
-        return self._table(engine, FRAME, Struct(
-            "tabled_entry", (Atom(word), FINITE, sign)), n)
+    def _frames(self, engine: Engine, word: str, n: int, left: tuple,
+                right: tuple) -> list:
+        """The frames of `word` with `n` members whose `_pairings` table
+        passes for tokens of answer sorts `left` and `right`, in answer
+        order, as (frame, subcat list, members reversed, table), kept per
+        (word, n, left, right) in `Program.frame_index`."""
+        key = (word, n, left, right)
+        frames = self.program.frame_index.get(key)
+        if frames is None:
+            skeleton = [engine.store.new_var(f"M{i + 1}") for i in range(n)]
+            sign = Avm(self.program.sorts.get("sign"),
+                       {"sc": make_list(skeleton), "slash": NIL})
+            answers = self._table(engine, FRAME, Struct(
+                "tabled_entry", (Atom(word), FINITE, sign)), n)
+            frames = self.program.frame_index[key] = []
+            for answer in answers:
+                if answer.body:         # a frame leaves no residue
+                    continue
+                frame = answer.head.args[-1]
+                sc = list_to_python(frame.feats["sc"])[0]
+                members = sc[::-1]
+                table = _pairings(self.program.sorts, members, left, right)
+                if table[0][0]:
+                    frames.append((frame, sc, members, table))
+        return frames
 
     def _table(self, engine: Engine, pred: tuple, goal: Struct, *extra) -> list:
         """The answers to `goal`, tabled as clauses of `pred` under a key of
@@ -316,7 +327,7 @@ class Parser:
         )
 
 
-def _answer_sorts(answers: list) -> list | None:
+def _answer_sorts(answers: list) -> tuple | None:
     """Sorts of the tabled `answers`, or None if some answer is not a
     record and so fits any member."""
     sorts = []
@@ -326,7 +337,7 @@ def _answer_sorts(answers: list) -> list | None:
             return None
         if answer.sort not in sorts:
             sorts.append(answer.sort)
-    return sorts
+    return tuple(sorts)
 
 
 def _pairings(sorts: SortTable, members: list, left: list, right: list) -> list:

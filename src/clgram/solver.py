@@ -42,7 +42,6 @@ clause per word, made when a goal first names the word or every clause.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -150,17 +149,18 @@ class Program:
         # the predicates whose clause list still holds a `Words`
         self._words: set[tuple[str, int]] = set()
         self._blocks: dict[tuple[str, int], BlockSpec] = {}
-        # digests of the sources whose clauses were added
+        # the source texts whose clauses were added
         self.loaded: set[str] = set()
         # candidates per (predicate, first-argument key), in clause order
         self._filtered: dict[tuple, list[Clause]] = {}
         # the answer clauses of each goal tabled by `Engine.table`, by key;
         # a key's first item is the predicate that holds the answers
         self.table: dict[tuple, list[Clause]] = {}
+        # the frames a `Parser` attempt keeps, by (word, n, token sorts)
+        self.frame_index: dict[tuple, list] = {}
 
     def load(self, text: str, path: str | None = None) -> None:
-        digest = source_digest(text)
-        if digest in self.loaded:
+        if text in self.loaded:
             return
         clauses = []
         for item in parse_source(text, self.sorts, path):
@@ -180,18 +180,19 @@ class Program:
                 continue
             _, head, body, pos = item
             clauses.append(Clause(head, body, pos))
-        self.add_clauses(clauses, digest)
+        self.add_clauses(clauses, text)
 
-    def add_clauses(self, clauses: list, digest: str) -> None:
+    def add_clauses(self, clauses: list, text: str) -> None:
         """Append `clauses` to their predicates, in order, and record their
-        source's `digest`.  An item may be `Words`, standing for its
-        clauses.  A table's answers may rest on any clause, so the table
-        and the predicates that hold its answers are emptied."""
-        self.loaded.add(digest)
+        source `text`.  An item may be `Words`, standing for its clauses.
+        A table's answers may rest on any clause, so the table, the frame
+        index and the predicates that hold its answers are emptied."""
+        self.loaded.add(text)
         self._filtered.clear()
         for key in self.table:
             self._clauses[key[0]] = []
         self.table.clear()
+        self.frame_index.clear()
         for c in clauses:
             if type(c) is Words:
                 key = c.key
@@ -430,8 +431,4 @@ class Engine:
     @property
     def truncated(self) -> bool:
         return self._truncated
-
-
-def source_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

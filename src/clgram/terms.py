@@ -573,8 +573,11 @@ class _ClauseWalk:
 
 def _checked(v: Var, early: tuple, regs: list) -> bool:
     """May the goal variable `v` take a copied clause term holding the
-    registers `early`?"""
-    return not early or not _occurs((v,), [regs[e] for e in early])
+    registers `early`?  A loop gathers them, cheaper than a comprehension."""
+    terms = []
+    for e in early:
+        terms.append(regs[e])
+    return not terms or not _occurs((v,), terms)
 
 
 def _const_code(c) -> tuple:
@@ -732,10 +735,13 @@ def _list_code(cell_regs: tuple, matchers: tuple, builders: tuple, tail: tuple,
                     return False
                 g = g.tail
                 i += 1
-            elif tp is Var and not _occurs((g,), [regs[e] for e, j in last
-                                                  if j >= i and regs[e] is not None]):
-                # the copy from cell i holds the registers its cells reach
-                # and that were filled before it
+            elif tp is Var:
+                terms = []      # the filled registers that cells i.. reach
+                for e, j in last:
+                    if j >= i and regs[e] is not None:
+                        terms.append(regs[e])
+                if _occurs((g,), terms):
+                    return False
                 store._bind(g, build_from(regs, i))
                 return True
             else:

@@ -2,10 +2,14 @@
 every private top-level function, class and constant is named somewhere
 else under src/clgram.  No linter ships with the project, so these are
 the unused-import and unused-definition checks; a line marked
-`# noqa: F401` is a deliberate re-export.  A last check keeps the list
-of functions that call themselves."""
+`# noqa: F401` is a deliberate re-export.  Another check keeps the list
+of functions that call themselves, and a last one the hash library out
+of the process."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +129,15 @@ def test_recursive_walkers_are_the_known_ones():
     for path in SRC.glob("*.py"):
         found |= self_calling(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == RECURSIVE
+
+
+def test_no_hash_library_is_imported():
+    # `hashlib` loads OpenSSL, which alone raises peak RSS by about 4 MB
+    code = ("import sys, clgram, clgram.cli; "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -786,15 +786,19 @@ def acceptance_sentences() -> list[str]:
 
 
 class Answers:
-    """The sort table's verdict on each entry answer, and for each
-    derivation the answer it came from.  With `skip` off every answer
-    goes on to the match phase, under a table that allows every
-    pairing."""
+    """The sort table's verdict on each frame, and for each derivation the
+    verdict of the frame it came from.  A frame's table is built once per
+    index key, before any frame of the key is paired, so each member list
+    maps to its verdict.  With `skip` off every frame goes on to the
+    match phase, under a table that allows every pairing."""
 
     def __init__(self):
         self.verdicts: list[bool] = []
         self.origin: list[int] = []
         self.skip = True
+        # id of each member list -> (the list, the index of its verdict)
+        self.verdict_of: dict[int, tuple] = {}
+        self.pairing = -1       # the verdict index of the frame being paired
 
 
 def every_pairing(n: int, nl: int, nr: int) -> list[list[int]]:
@@ -808,19 +812,26 @@ def every_pairing(n: int, nl: int, nr: int) -> list[list[int]]:
 def answers(monkeypatch):
     seen = Answers()
     real_table = clgram.parser._pairings
+    real_pair = clgram.parser._pair
     real_extract = Parser._extract
 
     def table(sorts, members, left, right):
         pairings = real_table(sorts, members, left, right)
+        seen.verdict_of[id(members)] = (members, len(seen.verdicts))
         seen.verdicts.append(bool(pairings[0][0]))
         if seen.skip:
             return pairings
         return every_pairing(len(members), len(left), len(right))
 
+    def pair(engine, table, members, lefts, rights):
+        seen.pairing = seen.verdict_of[id(members)][1]
+        return real_pair(engine, table, members, lefts, rights)
+
     def extract(self, *args):
-        seen.origin.append(len(seen.verdicts) - 1)
+        seen.origin.append(seen.pairing)
         return real_extract(self, *args)
     monkeypatch.setattr(clgram.parser, "_pairings", table)
+    monkeypatch.setattr(clgram.parser, "_pair", pair)
     monkeypatch.setattr(Parser, "_extract", extract)
     return seen
 
@@ -839,12 +850,15 @@ class TestSortCheck:
         answers.verdicts.clear()
         answers.origin.clear()
         answers.skip = False
+        # a fresh Program, whose frame index holds no table of the pass above
+        parser = Parser(*build_program(enable_slash=slash))
         unchecked = [derivation_rows(parser.parse(s)) for s in sentences]
         assert answers.verdicts.count(False) > 0
         assert all(answers.verdicts[i] for i in answers.origin)
         assert unchecked == checked
 
-    def test_pinned_verdicts(self, parser, answers):
+    def test_pinned_verdicts(self, answers):
+        parser = Parser(*build_program())
         result = parser.parse("dat arie vandaag toevallig bob wil kussen")
         assert (answers.verdicts.count(True), answers.verdicts.count(False)) \
             == (4, 11)
@@ -854,6 +868,49 @@ class TestSortCheck:
         answers.verdicts.clear()
         assert not parser.parse("dat wil arie slapen").grammatical
         assert answers.verdicts == [False]
+
+
+class TestFrameIndex:
+    """A Program keeps the frames that pass the sort table per (head word,
+    n, token answer sorts), so an attempt under a key seen before builds
+    no table; loading source drops the index with the frames.  Each
+    `_pairings` call adds one verdict to `answers`."""
+
+    def test_a_warm_corpus_pass_builds_no_table(self, answers):
+        parser = Parser(*build_program())
+        passes, calls = [], []
+        for _ in range(2):
+            answers.verdicts.clear()
+            passes.append([derivation_rows(parser.parse(s)) for s, _ in CORPUS])
+            calls.append(len(answers.verdicts))
+        assert 0 < calls[0] <= 126 and calls[1] == 0
+        assert passes[1] == passes[0]
+
+    def test_other_words_of_the_same_sorts_share_a_key(self, answers):
+        program, lexicon = build_program()
+        parser = Parser(program, lexicon)
+        parser.parse("dat arie vandaag bob zou kussen")
+        keys = set(program.frame_index)
+        answers.verdicts.clear()
+        sentence = "dat cadeautjes op tijd boeken zou bekijken"
+        result = parser.parse(sentence)
+        assert answers.verdicts == [] and set(program.frame_index) == keys
+        assert result.grammatical
+        assert derivation_rows(result) == \
+            derivation_rows(Parser(*build_program()).parse(sentence))
+
+    def test_loading_source_drops_the_index(self, answers):
+        program, lexicon = build_program()
+        parser = Parser(program, lexicon)
+        sentence = "dat arie bob vandaag wil kussen"
+        first = parser.parse(sentence)
+        built = len(answers.verdicts)
+        assert built and program.frame_index
+        program.load("zz_fact(a).\n", "<zz>")
+        assert program.frame_index == {}
+        answers.verdicts.clear()
+        assert derivation_rows(parser.parse(sentence)) == derivation_rows(first)
+        assert len(answers.verdicts) == built
 
 
 # Surface words of the packaged lexicon for the harness below; a spaced

@@ -57,6 +57,10 @@ def build(store, spec, env):
     if kind == "avm":
         return Avm(store.sorts.get(spec[1]),
                    {k: build(store, v, env) for k, v in spec[2]})
+    if kind == "record":    # the record of this name built first in `env`
+        if spec[1] not in env:
+            env[spec[1]] = build(store, ("avm", *spec[2:]), env)
+        return env[spec[1]]
     return Struct(spec[1], tuple(build(store, a, env) for a in spec[2]))
 
 
@@ -114,18 +118,39 @@ def test_failed_unify_leaves_no_trace(s1, s2):
         assert snap(store, b) == before_b
 
 
+def around(spec):
+    """`spec`, or a record that holds it under one feature."""
+    return st.one_of(st.just(spec), st.builds(
+        lambda sort, feat: ("avm", sort, ((feat, spec),)), SORTS, FEATS))
+
+
+# Pairs that share a record, named P, at the same place (`build` makes one
+# per env), each side holding it as is or inside a record of its own, so
+# that a merge may make one record reach the other, either way round.
+sharing = st.builds(
+    lambda sort, feats: ("record", "P", sort, tuple(sorted(feats.items()))),
+    SORTS, st.dictionaries(FEATS, specs, max_size=2),
+).flatmap(lambda r: st.tuples(around(r), around(r), specs)).map(
+    lambda t: (("struct", "g", (t[0], t[2])), ("struct", "g", (t[1], t[2]))))
+
+
 @settings(max_examples=300, **SETTINGS)
-@given(specs, specs)
-@example(("var", "X"), ("struct", "f", (("var", "X"),)))
-@example(("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))),
-         ("struct", "g", (("avm", "sign", (("g", ("var", "Y")),)), ("var", "Y"))))
-@example(("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))),
-         ("struct", "g", (("avm", "sign", ()), ("var", "X"))))
-@example(("struct", "g", (("avm", "sign", ()), ("var", "X"))),
-         ("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))))
-def test_unify_agrees_with_the_reference(s1, s2):
-    # one variable env, so a pair can form a cycle: X against f(X), or
-    # records that come to reach each other
+@given(st.one_of(st.tuples(specs, specs), sharing))
+@example(pair=(("var", "X"), ("struct", "f", (("var", "X"),))))
+@example(pair=(
+    ("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))),
+    ("struct", "g", (("avm", "sign", (("g", ("var", "Y")),)), ("var", "Y")))))
+@example(pair=(
+    ("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))),
+    ("struct", "g", (("avm", "sign", ()), ("var", "X")))))
+@example(pair=(
+    ("struct", "g", (("avm", "sign", ()), ("var", "X"))),
+    ("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),))))))
+def test_unify_agrees_with_the_reference(pair):
+    # one env, so the two sides share variables and records, and a pair
+    # can form a cycle: X against f(X), or records that come to reach
+    # each other
+    s1, s2 = pair
     store = Store(sort_table())
     env: dict = {}
     a, b = build(store, s1, env), build(store, s2, env)
