@@ -164,8 +164,8 @@ def canonical(t, _numbering: dict | None = None, _stack: set | None = None) -> t
                    tuple(canonical(a, _numbering, _stack) for a in t.args))
         else:
             out = ("avm", t.sort.name,
-                   tuple(sorted((f, canonical(v, _numbering, _stack))
-                                for f, v in t.feats.items())))
+                   tuple([(f, canonical(v, _numbering, _stack))
+                          for f, v in sorted(t.feats.items())]))
         _stack.discard(id(t))
         return out
     raise TypeError(f"cannot canonicalize {t!r}")

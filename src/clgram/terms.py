@@ -24,9 +24,11 @@ it holds twice.  The matchers unify the goal with the head as read and
 build only what the goal lacks.  Since a built term is fresh except for
 registers filled before it, they check only those registers.
 
-The store also owns the suspension machinery used by the solver: goals
-blocked on unbound variables are parked here, and binding one of their
-watched variables moves them onto a wake list.
+The store also owns the suspension machinery used by the solver.  A
+blocked goal hangs off the variables it waits for, in their `watch` slot,
+as in WAM implementations of freeze (Carlsson, ICLP 1987), and binding
+one of them moves it onto a wake list.  Like a binding, a watcher lives
+on the term, so the one-live-store rule above covers it too.
 """
 
 from __future__ import annotations
@@ -102,15 +104,18 @@ class SortTable:
 # terms
 
 class Var:
-    """Logic variable.  `ref` is None while unbound; `id` is only a
-    display label, which `resolve` renumbers."""
+    """Logic variable.  `ref` is None while unbound.  `watch` holds the
+    suspensions waiting for a binding, newest first, as linked
+    `(suspension, older)` pairs, or None.  `id` is only a display label,
+    which `resolve` renumbers."""
 
-    __slots__ = ("id", "name", "ref")
+    __slots__ = ("id", "name", "ref", "watch")
 
     def __init__(self, name: str | None = None):
         self.id = next(_var_ids)
         self.name = name
         self.ref = None
+        self.watch = None
 
     def __repr__(self):
         return f"Var({self.name or '_G%d' % self.id})"
@@ -235,20 +240,20 @@ class Suspension:
 class Store:
     """Trail and suspension bookkeeping for one solver run.
 
-    Bindings and merge forwards live on the terms, in their `ref` slot.
-    Trail entries are small tuples; the first element tags the undo
-    action.  Everything that mutates solver-visible state, a `ref`
+    Bindings and merge forwards live on the terms, in their `ref` slot,
+    and suspensions on the variables they wait for, in `watch`;
+    `susp_log` holds the live suspensions in creation order.  Trail
+    entries are small tuples; the first element tags the undo action.
+    Everything that mutates solver-visible state, a `ref` or `watch`
     included, goes through a helper here so backtracking restores it.
     """
 
     def __init__(self, sorts: SortTable | None = None):
         self.sorts = sorts if sorts is not None else SortTable()
-        self.suspensions: dict[Var, list[Suspension]] = {}
         self.trail: list[tuple] = []
         self.wake_list: list[Suspension] = []
         self.susp_log: list[Suspension] = []
         self.trace = None
-        self._susp_seq = itertools.count(1)
 
     # -- vars and marks
 
@@ -270,9 +275,9 @@ class Store:
             elif tag == "feat":
                 del entry[1].feats[entry[2]]
             elif tag == "susp":
-                self.suspensions[entry[1]].pop()
-            elif tag == "log":
                 self.susp_log.pop()
+                for v in entry[1]:
+                    v.watch = v.watch[1]
             elif tag == "wake":
                 self.wake_list.pop()
                 entry[1].woken = False
@@ -293,13 +298,13 @@ class Store:
         self._set_ref(v, t)
         if self.trace:
             self.trace(("bind", v, t), self)
-        pending = self.suspensions.get(v)
-        if pending:
-            for s in pending:
-                if not s.woken:
-                    s.woken = True
-                    self.wake_list.append(s)
-                    self.trail.append(("wake", s))
+        w = v.watch
+        while w is not None:
+            s, w = w
+            if not s.woken:
+                s.woken = True
+                self.wake_list.append(s)
+                self.trail.append(("wake", s))
 
     def _set_sort(self, node: Avm, sort: Sort) -> None:
         self.trail.append(("sort", node, node.sort))
@@ -312,12 +317,13 @@ class Store:
     # -- suspensions
 
     def suspend_goal(self, goal, variables: list[Var]) -> Suspension:
-        s = Suspension(goal, next(self._susp_seq))
+        """Park `goal` on the unbound `variables` until one is bound.  Its
+        `seq` is its index in `susp_log`, its order among live ones."""
+        s = Suspension(goal, len(self.susp_log))
         for v in variables:
-            self.suspensions.setdefault(v, []).append(s)
-            self.trail.append(("susp", v))
+            v.watch = (s, v.watch)
         self.susp_log.append(s)
-        self.trail.append(("log",))
+        self.trail.append(("susp", variables))
         if self.trace:
             self.trace(("suspend", goal, variables), self)
         return s
@@ -486,21 +492,21 @@ def compile_clause(head, body) -> tuple:
 def _count_nodes(t, counts: dict) -> None:
     """Count the occurrences of each variable and compound node, walking
     a node's parts at its first occurrence only."""
-    while True:  # along list tails
+    stack = [t]
+    while stack:
+        t = stack.pop()
         tp = type(t)
         if tp is Atom or tp is _Nil:
-            return
+            continue
         n = counts.get(id(t), 0)
         counts[id(t)] = n + 1
         if n or tp is Var:
-            return
-        if tp is ListCons:
-            _count_nodes(t.head, counts)
-            t = t.tail
             continue
-        for x in t.args if tp is Struct else t.feats.values():
-            _count_nodes(x, counts)
-        return
+        if tp is ListCons:
+            stack.append(t.tail)
+            stack.append(t.head)
+        else:
+            stack.extend(t.args if tp is Struct else t.feats.values())
 
 
 class _ClauseWalk:
@@ -581,27 +587,14 @@ def _checked(v: Var, early: tuple, regs: list) -> bool:
 
 
 def _const_code(c) -> tuple:
-    if type(c) is Atom:
-        name = c.name
+    name = c.name if type(c) is Atom else None     # None for `[]`
 
-        def match(store, g, regs):
-            g = deref(g)
-            tp = type(g)
-            if tp is Atom:
-                return g.name == name
-            if tp is Var:
-                store._bind(g, c)
-                return True
-            return False
-    else:
-        def match(store, g, regs):
-            g = deref(g)
-            if g is c:
-                return True
-            if type(g) is Var:
-                store._bind(g, c)
-                return True
-            return False
+    def match(store, g, regs):
+        g = deref(g)
+        if type(g) is Var:
+            store._bind(g, c)
+            return True
+        return g is c or (type(g) is Atom and g.name == name)
     return match, lambda regs: c, ()
 
 

@@ -244,6 +244,6 @@ class ReferenceUnifier:
             return ("struct", t.name,
                     tuple(self.canonical(a, numbering) for a in t.args))
         if isinstance(t, Avm):
-            return ("avm", t.sort.name, tuple(sorted(
-                (f, self.canonical(v, numbering)) for f, v in t.feats.items())))
+            return ("avm", t.sort.name, tuple(
+                (f, self.canonical(v, numbering)) for f, v in sorted(t.feats.items())))
         return ("nil",)

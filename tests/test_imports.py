@@ -97,7 +97,7 @@ def test_no_unused_private_definitions(path):
 RECURSIVE = {
     "lexicon._renamed", "reader._Parser.term", "render._text",
     "render._to_json", "render.canonical", "render.canonical_text",
-    "terms._ClauseWalk.node", "terms._count_nodes", "terms._unify",
+    "terms._ClauseWalk.node", "terms._unify",
     "terms.copy_term",
 }
 

@@ -90,6 +90,8 @@ def shape(t, labels: dict):
 
 @settings(max_examples=150, **SETTINGS)
 @given(specs, specs)
+@example(("avm", "sign", (("f", ("atom", "a")), ("g", ("var", "X")))),
+         ("avm", "sign", (("f", ("atom", "a")), ("h", ("var", "X")))))
 def test_unify_is_commutative(s1, s2):
     left = Store(sort_table())
     a, b = build(left, s1, {}), build(left, s2, {})

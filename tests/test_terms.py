@@ -1,6 +1,11 @@
-"""Term store basics: sorts, unification, trailing, copying, resolving."""
+"""Term store basics: sorts, unification, trailing, suspensions, copying,
+resolving."""
+
+import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clgram.terms
 from clgram import (Atom, Avm, ListCons, NIL, SortError, SortTable, Store,
@@ -316,3 +321,103 @@ class TestCopyResolve:
         items, tail = list_to_python(t)
         assert [store.deref(i) for i in items] == [Atom("a"), Atom("b")]
         assert tail is NIL
+
+
+def watchers(v: Var) -> list:
+    """The goals on `v`'s watch chain, newest first."""
+    out, w = [], v.watch
+    while w is not None:
+        out.append(w[0].goal.name)
+        w = w[1]
+    return out
+
+
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("suspend"),
+              st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True)),
+    st.tuples(st.just("bind"), st.integers(0, 2)),
+    st.tuples(st.just("mark")),
+    st.tuples(st.just("undo"), st.integers(0, 9)),
+    st.tuples(st.just("drain")),
+), max_size=40)
+
+
+class TestSuspensions:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(STEPS)
+    def test_store_agrees_with_a_plain_model(self, steps):
+        """Suspend, bind, mark, undo and drain on one Store over three
+        variables, against a model that keeps each variable's goals in a
+        dict of lists and snapshots itself at each mark."""
+        store = Store()
+        vs = [Var(n) for n in "ABC"]
+        model = {"bound": set(), "watch": {0: [], 1: [], 2: []},
+                 "log": [], "woken": set(), "queue": []}
+        marks = []          # (store mark, model snapshot)
+        made = 0
+        for step in steps:
+            drained = expected = []
+            if step[0] == "suspend":
+                free = [i for i in step[1] if i not in model["bound"]]
+                if free:
+                    made += 1
+                    goal = f"g{made}"
+                    store.suspend_goal(Atom(goal), [vs[i] for i in free])
+                    model["log"].append(goal)
+                    for i in free:
+                        model["watch"][i].append(goal)
+            elif step[0] == "bind":
+                i = step[1]
+                if i not in model["bound"]:
+                    assert unify(store, vs[i], Atom("a"))
+                    model["bound"].add(i)
+                    for goal in model["watch"][i]:
+                        if goal not in model["woken"]:
+                            model["woken"].add(goal)
+                            model["queue"].append(goal)
+            elif step[0] == "mark":
+                marks.append((store.mark(), copy.deepcopy(model)))
+            elif step[0] == "undo":
+                if marks:
+                    del marks[step[1] % len(marks) + 1:]
+                    m, snapshot = marks[-1]
+                    store.undo_to(m)
+                    model = copy.deepcopy(snapshot)
+            else:
+                drained = [s.goal.name for s in store.drain_wakes()]
+                expected = sorted(model["queue"], key=model["log"].index)
+                model["queue"] = []
+            assert drained == expected
+            assert [g.name for g in store.pending_residue()] == \
+                [g for g in model["log"] if g not in model["woken"]]
+            for i, v in enumerate(vs):
+                assert watchers(v) == model["watch"][i][::-1]
+
+    def test_a_reused_seq_wakes_after_older_suspensions(self, store):
+        x, y = Var("X"), Var("Y")
+        store.suspend_goal(Atom("old"), [x])
+        m = store.mark()
+        undone = store.suspend_goal(Atom("undone"), [y])
+        store.undo_to(m)
+        new = store.suspend_goal(Atom("new"), [y])
+        assert new.seq == undone.seq
+        assert unify(store, y, Atom("a")) and unify(store, x, Atom("a"))
+        assert [s.goal.name for s in store.drain_wakes()] == ["old", "new"]
+
+    def test_a_suspension_pushes_one_trail_entry(self, store):
+        x, y = Var("X"), Var("Y")
+        m = store.mark()
+        store.suspend_goal(Atom("g"), [x, y])
+        assert store.trail[m:] == [("susp", [x, y])]
+
+    def test_undo_to_zero_leaves_no_watcher(self, store):
+        vs = [Var(n) for n in "XYZ"]
+        store.suspend_goal(Atom("g1"), vs[:2])
+        store.suspend_goal(Atom("g2"), vs[1:])
+        store.suspend_goal(Atom("g3"), vs[:1])
+        assert unify(store, vs[1], Atom("a"))
+        store.drain_wakes()
+        store.suspend_goal(Atom("g4"), vs[2:])
+        store.undo_to(0)
+        assert [v.watch for v in vs] == [None, None, None]
+        assert store.susp_log == [] and store.wake_list == []
