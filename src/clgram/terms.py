@@ -14,6 +14,8 @@ one kind of link.  This keeps structure sharing intact, which the
 grammar relies on for its scope distinctions.  Since a binding lives on
 the term, a term belongs to one live store at a time; every Engine and
 parser attempt builds its own terms and undoes to its mark when done.
+Unification is one loop over pairs, with no depth limit, that unifies
+each pair of compound nodes once (Martelli and Montanari, TOPLAS 1982).
 
 The occurs check is always on: a unification that would make a term
 contain itself fails.  It walks in full where two goal terms unify.  A
@@ -358,41 +360,59 @@ def unify(store: Store, a, b) -> bool:
 
 
 def _unify(store: Store, a, b) -> bool:
-    a = deref(a)
-    b = deref(b)
-    while type(a) is ListCons and type(b) is ListCons and a is not b:
-        if not _unify(store, a.head, b.head):
-            return False
-        a = deref(a.tail)
-        b = deref(b.tail)
-    if a is b:
-        return True
-    ta = type(a)
-    if ta is Var:
-        return _bind_var(store, a, b)
-    tb = type(b)
-    if tb is Var:
-        return _bind_var(store, b, a)
-    if ta is not tb:
-        return False
-    if ta is Atom:
-        return a.name == b.name
-    if ta is Struct:
-        if a.name != b.name or len(a.args) != len(b.args):
-            return False
-        for x, y in zip(a.args, b.args):
-            if not _unify(store, x, y):
+    """Pairs pop depth first, left to right, as a recursive walk meets
+    them.  A pair of structures or list cells met again is skipped; the
+    set of them is made at the first, as in `_occurs`.  Records merge at
+    once: `b` forwards to `a`, which takes the meet and the features it
+    lacks, and each shared feature becomes a pair; after the occurs check
+    no later pair reaches `a` or `b`.  The caller undoes on failure."""
+    pairs = [(a, b)]
+    seen = None
+    while pairs:
+        a, b = pairs.pop()
+        a = deref(a)
+        b = deref(b)
+        if a is b:
+            continue
+        ta = type(a)
+        if ta is Var or type(b) is Var:
+            v, t = (a, b) if ta is Var else (b, a)
+            if _occurs((v,), [t]):
                 return False
-        return True
-    if ta is Avm:
-        return _merge_avms(store, a, b)
-    return False  # two list cells were walked above, and NIL is one object
-
-
-def _bind_var(store: Store, v: Var, t) -> bool:
-    if _occurs((v,), [t]):
-        return False
-    store._bind(v, t)
+            store._bind(v, t)
+            continue
+        if ta is not type(b) or ta is Atom and a.name != b.name:
+            return False
+        if ta is Avm:
+            meet = store.sorts.meet(a.sort, b.sort)
+            if meet is None or _occurs((a, b), [*a.feats.values(),
+                                                *b.feats.values()]):
+                return False
+            store._set_ref(b, a)
+            if a.sort is not meet:
+                store._set_sort(a, meet)
+            feats, top = a.feats, len(pairs)
+            for f, v in b.feats.items():
+                if f in feats:
+                    pairs.insert(top, (feats[f], v))    # to pop in b's order
+                else:
+                    store._add_feat(a, f, v)
+            continue
+        if ta is Struct:
+            if a.name != b.name or len(a.args) != len(b.args):
+                return False
+        elif ta is not ListCons:
+            continue        # equal atoms; NIL is one object, met above
+        if seen is None:
+            seen = set()
+        elif (a, b) in seen:
+            continue
+        seen.add((a, b))
+        if ta is ListCons:
+            pairs.append((a.tail, b.tail))
+            pairs.append((a.head, b.head))
+        else:
+            pairs.extend(zip(reversed(a.args), reversed(b.args)))
     return True
 
 
@@ -425,26 +445,6 @@ def _occurs(targets: tuple, terms: list) -> bool:
         else:
             terms.extend(t.args if tp is Struct else t.feats.values())
     return False
-
-
-def _merge_avms(store: Store, a: Avm, b: Avm) -> bool:
-    meet = store.sorts.meet(a.sort, b.sort)
-    if meet is None:
-        return False
-    if _occurs((a, b), [*a.feats.values(), *b.feats.values()]):
-        return False
-    store._set_ref(b, a)
-    if a.sort is not meet:
-        store._set_sort(a, meet)
-    for f, v in list(b.feats.items()):
-        # nested merges may forward the survivor itself; re-deref each time
-        t = deref(a)
-        if f in t.feats:
-            if not _unify(store, t.feats[f], v):
-                return False
-        else:
-            store._add_feat(t, f, v)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ every private top-level function, class and constant is named somewhere
 else under src/clgram.  No linter ships with the project, so these are
 the unused-import and unused-definition checks; a line marked
 `# noqa: F401` is a deliberate re-export.  Another check keeps the list
-of functions that call themselves, and a last one the hash library out
-of the process."""
+of functions that call themselves, directly or through each other, and a
+last one the hash library out of the process."""
 
 import ast
 import os
@@ -93,41 +93,60 @@ def test_no_unused_private_definitions(path):
 
 
 # Walkers that still recurse once per level of a term; the list should
-# only shrink.  `reader._Parser.term` is bounded by `MAX_TERM_DEPTH`.
+# only shrink.  The reader's `_Parser.term` and the literals it reads are
+# bounded by `MAX_TERM_DEPTH`.
 RECURSIVE = {
-    "lexicon._renamed", "reader._Parser.term", "render._text",
+    "lexicon._renamed", "reader._Parser.avm_literal",
+    "reader._Parser.list_literal", "reader._Parser.term", "render._text",
     "render._to_json", "render.canonical", "render.canonical_text",
-    "terms._ClauseWalk.node", "terms._unify",
+    "terms._ClauseWalk.node", "terms._ClauseWalk.spine",
     "terms.copy_term",
 }
 
 
-def self_calling(tree: ast.Module, module: str) -> set[str]:
-    """The functions and methods of `tree` that call themselves by name,
-    as `f(...)` or `self.f(...)`.  Mutual recursion (`_unify` and
-    `_merge_avms`, `node` and `spine`) is not seen."""
-    out = set()
+def recursive(tree: ast.Module, module: str) -> set[str]:
+    """The functions and methods of `tree` that can call themselves by
+    name: directly, or through a cycle of calls among the module's own
+    functions and methods.  A call counts when it names a top-level
+    function, `f(...)`, the function it is in, or a method of the same
+    class, `self.f(...)`; a call inside a nested function counts for the
+    functions around it too."""
+    calls: dict[str, set[str]] = {}
 
     def visit(node, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{module}.{prefix}{child.name}"
+                out = calls.setdefault(name, set())
                 for n in ast.walk(child):
                     f = n.func if isinstance(n, ast.Call) else None
-                    if (isinstance(f, ast.Name) and f.id == child.name
-                            or isinstance(f, ast.Attribute) and f.attr == child.name
-                            and isinstance(f.value, ast.Name) and f.value.id == "self"):
-                        out.add(f"{module}.{prefix}{child.name}")
+                    if isinstance(f, ast.Name):
+                        out.add(name if f.id == child.name else f"{module}.{f.id}")
+                    elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                          and f.value.id == "self"):
+                        out.add(f"{module}.{prefix}{f.attr}")
                 visit(child, prefix)
     visit(tree, "")
-    return out
+    found = set()
+    for start, callees in calls.items():
+        stack, seen = list(callees), set()
+        while stack:
+            f = stack.pop()
+            if f == start:
+                found.add(start)
+                break
+            if f in calls and f not in seen:
+                seen.add(f)
+                stack.extend(calls[f])
+    return found
 
 
 def test_recursive_walkers_are_the_known_ones():
     found = set()
     for path in SRC.glob("*.py"):
-        found |= self_calling(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        found |= recursive(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == RECURSIVE
 
 

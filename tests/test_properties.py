@@ -1,4 +1,9 @@
-"""Randomized invariants for unification and the delaying engine."""
+"""Randomized invariants for unification and the delaying engine, and a
+check that a failing one is reported like any other test."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -57,9 +62,9 @@ def build(store, spec, env):
     if kind == "avm":
         return Avm(store.sorts.get(spec[1]),
                    {k: build(store, v, env) for k, v in spec[2]})
-    if kind == "record":    # the record of this name built first in `env`
+    if kind == "node":      # the node of this name built first in `env`
         if spec[1] not in env:
-            env[spec[1]] = build(store, ("avm", *spec[2:]), env)
+            env[spec[1]] = build(store, spec[2], env)
         return env[spec[1]]
     return Struct(spec[1], tuple(build(store, a, env) for a in spec[2]))
 
@@ -130,14 +135,65 @@ def around(spec):
 # per env), each side holding it as is or inside a record of its own, so
 # that a merge may make one record reach the other, either way round.
 sharing = st.builds(
-    lambda sort, feats: ("record", "P", sort, tuple(sorted(feats.items()))),
+    lambda sort, feats: ("node", "P", ("avm", sort, tuple(sorted(feats.items())))),
     SORTS, st.dictionaries(FEATS, specs, max_size=2),
 ).flatmap(lambda r: st.tuples(around(r), around(r), specs)).map(
     lambda t: (("struct", "g", (t[0], t[2])), ("struct", "g", (t[1], t[2]))))
 
 
+def generalised(spec):
+    """`spec` with any subterm possibly replaced by a variable.  A goal and
+    head pair where one generalises the other often matches, so repeated
+    variables on either side meet different parts of the other."""
+    kind = spec[0]
+    if kind == "list":
+        same = st.tuples(*map(generalised, spec[1])).map(
+            lambda items: ("list", items, spec[2]))
+    elif kind == "avm":
+        same = st.tuples(*(generalised(v) for _, v in spec[2])).map(
+            lambda vals: ("avm", spec[1],
+                          tuple(zip((k for k, _ in spec[2]), vals))))
+    elif kind == "struct":
+        same = st.tuples(*map(generalised, spec[2])).map(
+            lambda args: ("struct", spec[1], args))
+    else:
+        same = st.just(spec)
+    return st.one_of(st.tuples(st.just("var"), VARS), same)
+
+
+def goal_part(spec):
+    return st.one_of(st.just(spec), generalised(spec))
+
+
+# Pairs in which each side holds a list or structure of its own, named S
+# and T (or both S), at two of four places, and at the other two terms
+# built apart like the other side's node, so that unification meets a
+# pair of nodes on more than one path, one node paired with several, and
+# a pair it has unified already.  T is S generalised.
+compounds = st.one_of(
+    st.builds(lambda items, tail: ("list", tuple(items), tail),
+              st.lists(specs, min_size=1, max_size=3),
+              st.one_of(st.none(), VARS)),
+    st.builds(lambda name, args: ("struct", name, tuple(args)),
+              ATOMS, st.lists(specs, min_size=1, max_size=3)),
+)
+
+
+def twice(name, node, like):
+    shared = ("node", name, node)
+    return st.tuples(goal_part(like), goal_part(like)).flatmap(
+        lambda apart: st.permutations([shared, shared, *apart])).map(
+        lambda args: ("struct", "g", tuple(args)))
+
+
+dag_sharing = compounds.flatmap(lambda s: st.tuples(
+    st.just(s), generalised(s).filter(lambda t: t[0] != "var"),
+    st.sampled_from("ST"))).flatmap(
+    lambda t: st.tuples(twice("S", t[0], t[1]), twice(t[2], t[1], t[0])))
+
+
 @settings(max_examples=300, **SETTINGS)
-@given(st.one_of(st.tuples(specs, specs), sharing))
+@given(st.one_of(st.tuples(specs, specs), sharing, dag_sharing))
 @example(pair=(("var", "X"), ("struct", "f", (("var", "X"),))))
 @example(pair=(
     ("struct", "g", (("var", "X"), ("avm", "sign", (("f", ("var", "X")),)))),
@@ -201,30 +257,6 @@ def test_canonical_reads_live_terms(s1, s2):
     unify(store, a, b)
     for t in (a, b, *env.values()):
         assert canonical(t) == canonical(resolve(store, t))
-
-
-def generalised(spec):
-    """`spec` with any subterm possibly replaced by a variable.  A goal and
-    head pair where one generalises the other often matches, so repeated
-    variables on either side meet different parts of the other."""
-    kind = spec[0]
-    if kind == "list":
-        same = st.tuples(*map(generalised, spec[1])).map(
-            lambda items: ("list", items, spec[2]))
-    elif kind == "avm":
-        same = st.tuples(*(generalised(v) for _, v in spec[2])).map(
-            lambda vals: ("avm", spec[1],
-                          tuple(zip((k for k, _ in spec[2]), vals))))
-    elif kind == "struct":
-        same = st.tuples(*map(generalised, spec[2])).map(
-            lambda args: ("struct", spec[1], args))
-    else:
-        same = st.just(spec)
-    return st.one_of(st.tuples(st.just("var"), VARS), same)
-
-
-def goal_part(spec):
-    return st.one_of(st.just(spec), generalised(spec))
 
 
 # A record, list or structure that the head holds at two positions, as a
@@ -353,3 +385,32 @@ def test_adjunctless_embedding_is_list_equality(program, xs, ys):
         assert canonical(sols[0].bindings["S"]) == ("atom", "s")
     else:
         assert sols == []
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    # the hypothesis plugin warns while it reports a failed property, and
+    # the project's warning settings must not turn that into an error
+    path = tmp_path / "test_two.py"
+    path.write_text(FAILING_PROPERTY, encoding="utf-8")
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), str(path)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

@@ -2,6 +2,7 @@
 resolving."""
 
 import copy
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,19 @@ def sorts():
 @pytest.fixture
 def store(sorts):
     return Store(sorts)
+
+
+@pytest.fixture
+def deref_calls(monkeypatch):
+    """A one-item list counting the calls of `terms.deref` from now on."""
+    calls = [0]
+    real = clgram.terms.deref
+
+    def counting(t):
+        calls[0] += 1
+        return real(t)
+    monkeypatch.setattr(clgram.terms, "deref", counting)
+    return calls
 
 
 class TestSorts:
@@ -61,6 +75,25 @@ class TestSorts:
     def test_unknown_lookup_rejected(self, sorts):
         with pytest.raises(SortError):
             sorts.get("nothere")
+
+
+def shared_chain(bottom, n: int):
+    """f(Xn-1, Xn-1) where X0 is `bottom` and X(i+1) = f(Xi, Xi)."""
+    for _ in range(n):
+        bottom = Struct("f", (bottom, bottom))
+    return bottom
+
+
+def built_pair(store, n: int, bottom: str):
+    """The variables `xs` and two distinct chains n levels deep, one with
+    a variable of `xs` at each level and `a` at the bottom, the other with
+    `c` at each level and `bottom` at the bottom."""
+    xs = [store.new_var() for _ in range(n)]
+    left, right = Atom("a"), Atom(bottom)
+    for x in xs:
+        left = Struct("f", (x, left))
+        right = Struct("f", (Atom("c"), right))
+    return xs, left, right
 
 
 class TestUnify:
@@ -130,6 +163,44 @@ class TestUnify:
         assert unify(store, x, b)
         assert store.deref(x) is b
 
+    def test_deep_built_chains_unify_without_recursion(self, store):
+        # built, not read, and deeper than the recursion limit
+        limit = sys.getrecursionlimit()
+        xs, left, right = built_pair(store, 10_000, "a")
+        assert unify(store, left, right)
+        assert all(store.deref(x) == Atom("c") for x in xs)
+        assert sys.getrecursionlimit() == limit
+
+    def test_deep_built_chains_fail_at_the_bottom_and_undo(self, store):
+        xs, left, right = built_pair(store, 10_000, "b")
+        mark = store.mark()
+        assert not unify(store, left, right)
+        assert store.mark() == mark
+        assert all(store.deref(x) is x for x in xs)
+
+    def test_paired_shared_chains_unify_in_linear_time(self, store, deref_calls):
+        # each pair of levels is met on 2^i paths, and unified once
+        n = 30
+        x, y = store.new_var(), store.new_var()
+        assert unify(store, shared_chain(x, n), shared_chain(y, n))
+        assert store.deref(x) is store.deref(y)
+        assert deref_calls[0] <= 8 * n
+
+    def test_binds_come_depth_first_left_to_right(self, store, sorts):
+        x, y, z, t, u, v = (store.new_var(n) for n in "XYZTUV")
+        a, b, c, d, e, k = (Atom(n) for n in "abcdek")
+        left = Struct("g", (Struct("f", (Struct("h", (x,)), y)),
+                            ListCons(Struct("h", (z,)), t),
+                            Avm(sorts.get("sign"), {"f": u, "g": Struct("h", (v,))})))
+        right = Struct("g", (Struct("f", (Struct("h", (a,)), b)),
+                             make_list([Struct("h", (c,)), d]),
+                             Avm(sorts.get("sign"), {"g": Struct("h", (e,)), "f": k})))
+        events = []
+        store.trace = lambda event, _store: events.append(event)
+        assert unify(store, left, right)
+        # a record's shared features come in the order of the second one
+        assert [e[1].name for e in events if e[0] == "bind"] == list("XYZTVU")
+
 
 class TestOccursCheck:
     def test_var_in_struct(self, store):
@@ -169,24 +240,14 @@ class TestOccursCheck:
         assert not unify(store, y, holding_y)
         assert store.mark() == mark
 
-    def test_shared_chain_is_checked_in_linear_time(self, store, monkeypatch):
+    def test_shared_chain_is_checked_in_linear_time(self, store, deref_calls):
         # X(i+1) = f(Xi, Xi): n + 1 nodes, 2^n paths from the top
         n = 22
         x = store.new_var()
-        chain = x
-        for _ in range(n):
-            chain = Struct("f", (chain, chain))
-        calls = 0
-        real = clgram.terms.deref
-
-        def counting(t):
-            nonlocal calls
-            calls += 1
-            return real(t)
-        monkeypatch.setattr(clgram.terms, "deref", counting)
+        chain = shared_chain(x, n)
         assert unify(store, store.new_var(), chain)
         assert not unify(store, x, chain)
-        assert calls <= 8 * n
+        assert deref_calls[0] <= 8 * n
 
     @pytest.mark.parametrize("holder_first", [True, False])
     def test_record_reaching_the_other_through_a_shared_record(
