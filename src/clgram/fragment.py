@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .errors import ClgramError
 from .lexicon import Lexicon
@@ -10,7 +10,8 @@ from .solver import Program
 
 
 def _data(name: str) -> str:
-    return resources.files("clgram").joinpath("data").joinpath(name).read_text("utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        return f.read()
 
 
 def fragment_source() -> str:

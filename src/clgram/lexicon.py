@@ -30,7 +30,7 @@ is tested against, not a step of it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import LexiconError
 from .reader import parse_source
@@ -41,33 +41,9 @@ _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 _FRAME_ROLE_COUNT = {"iv": 1, "tv": 2, "dtv": 3}
 
-
-@dataclass(frozen=True)
-class VerbEntry:
-    word: str
-    frame: str
-    soa: str
-    roles: tuple[str, ...]
-    phon: str
-    finite: str | None
-    nonfinite: bool
-    line: int
-
-
-@dataclass(frozen=True)
-class NounEntry:
-    word: str
-    index: str
-    line: int
-
-
-@dataclass(frozen=True)
-class AdvEntry:
-    word: str
-    kind: str  # "restr" or "op"
-    rel: str | None
-    soa: str | None
-    line: int
+VerbEntry = namedtuple("VerbEntry", "word frame soa roles phon finite nonfinite line")
+NounEntry = namedtuple("NounEntry", "word index line")
+AdvEntry = namedtuple("AdvEntry", "word kind rel soa line")     # kind: "restr" or "op"
 
 
 def _slot(e):
@@ -76,11 +52,11 @@ def _slot(e):
     if type(e) is NounEntry:
         return NounEntry("slot_word", "slot_index", 0), {"slot_word": e.word, "slot_index": e.index}
     if type(e) is AdvEntry:
-        return (replace(e, word="slot_word", rel=e.rel and "slot_rel", soa=e.soa and "soa",
-                        line=0), {"slot_word": e.word, "slot_rel": e.rel})
+        return (e._replace(word="slot_word", rel=e.rel and "slot_rel", soa=e.soa and "soa",
+                           line=0), {"slot_word": e.word, "slot_rel": e.rel})
     roles = tuple(f"slot_role{i}" for i in range(len(e.roles)))
-    return (replace(e, word="slot_word", soa="soa", roles=roles, phon="slot_phon",
-                    finite=e.finite and "slot_form", line=0),
+    return (e._replace(word="slot_word", soa="soa", roles=roles, phon="slot_phon",
+                       finite=e.finite and "slot_form", line=0),
             {"slot_word": e.word, "slot_phon": e.phon, "slot_form": e.finite,
              **dict(zip(roles, e.roles))})
 
@@ -115,12 +91,6 @@ def _renamed(t, names: dict, soa, fresh: dict):
     return t  # NIL
 
 
-def _check_atom(value: str, what: str, lineno: int) -> str:
-    if not _ATOM_RE.match(value):
-        raise LexiconError(f"line {lineno}: {what} {value!r} is not a valid atom")
-    return value
-
-
 class Lexicon:
     def __init__(self, text: str, path: str | None = None):
         self.path = path
@@ -145,91 +115,97 @@ class Lexicon:
     # -- parsing
 
     def _parse(self, text: str) -> None:
+        """One pass per line, checking each value given as it is taken.  A
+        default is made from checked atoms, so it is not checked again."""
+        atom = _ATOM_RE.match
+        verbs, nouns, advs = self.verbs, self.nouns, self.advs
         for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            fields = raw.split("#", 1)[0].split()
+            if not fields:
                 continue
-            fields = line.split()
             if len(fields) < 2:
                 raise LexiconError(f"line {lineno}: expected `word class [params]`")
             word, cls = fields[0], fields[1]
-            _check_atom(word, "word", lineno)
+            if not atom(word):
+                raise LexiconError(f"line {lineno}: word {word!r} is not a valid atom")
             params: dict[str, str] = {}
             for field in fields[2:]:
-                if "=" not in field:
+                k, eq, v = field.partition("=")
+                if not eq:
                     raise LexiconError(f"line {lineno}: bad parameter {field!r}")
-                k, v = field.split("=", 1)
                 if k in params:
                     raise LexiconError(f"line {lineno}: duplicate parameter {k!r}")
                 params[k] = v
-            if word in self.verbs or word in self.nouns or word in self.advs:
+            if word in verbs or word in nouns or word in advs:
                 raise LexiconError(f"line {lineno}: duplicate word {word!r}")
+            pop = params.pop
             if cls == "verb":
-                self._add_verb(word, params, lineno)
+                frame = pop("frame", None)
+                if frame not in ("iv", "tv", "dtv", "aux", "aci"):
+                    raise LexiconError(f"line {lineno}: bad or missing frame for {word!r}")
+                soa = pop("soa", None)
+                if not soa:
+                    raise LexiconError(f"line {lineno}: verb {word!r} needs soa=")
+                if not atom(soa):
+                    raise LexiconError(f"line {lineno}: soa sort {soa!r} is not a valid atom")
+                roles_raw = pop("roles", None)
+                n = _FRAME_ROLE_COUNT.get(frame)
+                if n is None:
+                    if roles_raw:
+                        raise LexiconError(f"line {lineno}: frame {frame} takes no roles=")
+                    roles = ()
+                else:
+                    if not roles_raw:
+                        raise LexiconError(f"line {lineno}: frame {frame} needs roles=")
+                    roles = tuple(roles_raw.split(","))
+                    if len(roles) != n:
+                        raise LexiconError(f"line {lineno}: frame {frame} needs {n} roles, "
+                                           f"got {len(roles)}")
+                    for r in roles:
+                        if not atom(r):
+                            raise LexiconError(f"line {lineno}: role {r!r} is not a valid atom")
+                    if len(set(roles)) != n:
+                        raise LexiconError(f"line {lineno}: duplicate role in {roles_raw!r}")
+                phon = pop("phon", word)
+                if phon is not word and not atom(phon):
+                    raise LexiconError(f"line {lineno}: phon {phon!r} is not a valid atom")
+                fin = pop("fin", None)
+                if fin is None:
+                    fin = phon + "t"
+                elif fin == "-":
+                    fin = None
+                elif not atom(fin):
+                    raise LexiconError(f"line {lineno}: finite form {fin!r} is not a valid atom")
+                nonfin = pop("nonfin", "+")
+                if nonfin != "+" and nonfin != "-":
+                    raise LexiconError(f"line {lineno}: nonfin must be + or -")
+                table = verbs
+                entry = VerbEntry(word, frame, soa, roles, phon, fin, nonfin == "+", lineno)
             elif cls == "noun":
-                self._add_noun(word, params, lineno)
+                index = pop("index", word)
+                if index is not word and not atom(index):
+                    raise LexiconError(f"line {lineno}: index {index!r} is not a valid atom")
+                table, entry = nouns, NounEntry(word, index, lineno)
             elif cls == "adv-restr":
-                self._add_adv(word, "restr", params, lineno)
+                rel = pop("rel", None)
+                if rel is None:
+                    rel = word + "_rel"
+                elif not atom(rel):
+                    raise LexiconError(f"line {lineno}: rel {rel!r} is not a valid atom")
+                table, entry = advs, AdvEntry(word, "restr", rel, None, lineno)
             elif cls == "adv-op":
-                self._add_adv(word, "op", params, lineno)
+                soa = pop("soa", None)
+                if soa is None:
+                    soa = word + "_soa"
+                elif not atom(soa):
+                    raise LexiconError(
+                        f"line {lineno}: operator soa {soa!r} is not a valid atom")
+                table, entry = advs, AdvEntry(word, "op", None, soa, lineno)
             else:
                 raise LexiconError(f"line {lineno}: unknown class {cls!r}")
-
-    def _add_verb(self, word: str, params: dict, lineno: int) -> None:
-        frame = params.pop("frame", None)
-        if frame not in ("iv", "tv", "dtv", "aux", "aci"):
-            raise LexiconError(f"line {lineno}: bad or missing frame for {word!r}")
-        soa = params.pop("soa", None)
-        if not soa:
-            raise LexiconError(f"line {lineno}: verb {word!r} needs soa=")
-        _check_atom(soa, "soa sort", lineno)
-        roles_raw = params.pop("roles", None)
-        if frame in _FRAME_ROLE_COUNT:
-            if not roles_raw:
-                raise LexiconError(f"line {lineno}: frame {frame} needs roles=")
-            roles = tuple(roles_raw.split(","))
-            if len(roles) != _FRAME_ROLE_COUNT[frame]:
-                raise LexiconError(
-                    f"line {lineno}: frame {frame} needs {_FRAME_ROLE_COUNT[frame]} roles, "
-                    f"got {len(roles)}")
-            for r in roles:
-                _check_atom(r, "role", lineno)
-            if len(set(roles)) != len(roles):
-                raise LexiconError(f"line {lineno}: duplicate role in {roles_raw!r}")
-        else:
-            if roles_raw:
-                raise LexiconError(f"line {lineno}: frame {frame} takes no roles=")
-            roles = ()
-        phon = params.pop("phon", word)
-        _check_atom(phon, "phon", lineno)
-        fin = params.pop("fin", phon + "t")
-        finite = None if fin == "-" else _check_atom(fin, "finite form", lineno)
-        nonfin = params.pop("nonfin", "+")
-        if nonfin not in ("+", "-"):
-            raise LexiconError(f"line {lineno}: nonfin must be + or -")
-        if params:
-            raise LexiconError(f"line {lineno}: unknown parameters {sorted(params)}")
-        self.verbs[word] = VerbEntry(word, frame, soa, roles, phon, finite, nonfin == "+", lineno)
-
-    def _add_noun(self, word: str, params: dict, lineno: int) -> None:
-        index = params.pop("index", word)
-        _check_atom(index, "index", lineno)
-        if params:
-            raise LexiconError(f"line {lineno}: unknown parameters {sorted(params)}")
-        self.nouns[word] = NounEntry(word, index, lineno)
-
-    def _add_adv(self, word: str, kind: str, params: dict, lineno: int) -> None:
-        if kind == "restr":
-            rel = params.pop("rel", word + "_rel")
-            _check_atom(rel, "rel", lineno)
-            soa = None
-        else:
-            soa = params.pop("soa", word + "_soa")
-            _check_atom(soa, "operator soa", lineno)
-            rel = None
-        if params:
-            raise LexiconError(f"line {lineno}: unknown parameters {sorted(params)}")
-        self.advs[word] = AdvEntry(word, kind, rel, soa, lineno)
+            if params:
+                raise LexiconError(f"line {lineno}: unknown parameters {sorted(params)}")
+            table[word] = entry
 
     # -- clauses
 

@@ -78,13 +78,11 @@ those.  Loading source empties the index with the answer table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (LimitExceededError, NoFiniteVerbError, StaleParseError,
                      UnknownTokensError)
 from .lexicon import Lexicon
 from .render import canonical, canonical_text
-from .solver import Engine, Program
+from .solver import Engine, Program, _Record
 from .terms import (NIL, Atom, Avm, SortTable, Store, Struct, Var, deref,
                     list_to_python, make_list, resolve)
 
@@ -100,16 +98,21 @@ ENTRY, DEPENDENT, FRAME = ("tabled_entry", 3), ("tabled_dependent", 2), ("tabled
 LEFT, RIGHT = 1, 2      # the ways a member may take a token, as table bits
 
 
-@dataclass(slots=True)
-class Derivation:
-    head_index: int
-    reading: tuple                   # canonical form of the sign's sem, and
-    reading_text: str                # its text, shared by equal readings
-    members: list[dict]              # per subcat member: dir, lex, token, token_index
-    cluster: list[str]               # head plus governed cluster verbs, surface order
-    _sign: object = field(default=None, repr=False, compare=False)
-    _signs: _Signs | None = field(default=None, repr=False, compare=False)
-    _index: int = field(default=0, repr=False, compare=False)  # in its attempt
+class Derivation(_Record):
+    __slots__ = ("head_index", "reading", "reading_text", "members", "cluster",
+                 "_sign", "_signs", "_index")
+    _fields = __slots__[:5]
+
+    def __init__(self, head_index: int, reading: tuple, reading_text: str,
+                 members: list[dict], cluster: list[str], _sign=None,
+                 _signs: _Signs | None = None, _index: int = 0):
+        self.head_index = head_index
+        self.reading = reading              # canonical form of the sign's sem, and
+        self.reading_text = reading_text    # its text, shared by equal readings
+        self.members = members      # per subcat member: dir, lex, token, token_index
+        self.cluster = cluster      # head plus governed cluster verbs, surface order
+        self._sign, self._signs = _sign, _signs
+        self._index = _index        # in its attempt
 
     @property
     def sign(self):
@@ -124,12 +127,13 @@ class Derivation:
         return self._sign
 
 
-@dataclass
-class ParseResult:
-    sentence: str
-    tokens: list[str]
-    had_complementizer: bool
-    derivations: list[Derivation] = field(default_factory=list)
+class ParseResult(_Record):
+    __slots__ = _fields = ("sentence", "tokens", "had_complementizer", "derivations")
+
+    def __init__(self, sentence: str, tokens: list[str], had_complementizer: bool,
+                 derivations: list[Derivation] | None = None):
+        self.sentence, self.tokens, self.had_complementizer = sentence, tokens, had_complementizer
+        self.derivations = [] if derivations is None else derivations
 
     @property
     def grammatical(self) -> bool:

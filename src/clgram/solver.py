@@ -43,7 +43,6 @@ clause per word, made when a goal first names the word or every clause.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import UndefinedPredicateError
 from .reader import parse_source
@@ -53,11 +52,27 @@ from .terms import (Atom, Avm, ListCons, SortTable, Store, Struct, Var, _Nil,
 from .terms import copy_term, unify  # noqa: F401
 
 
-@dataclass
-class BlockSpec:
-    name: str
-    arity: int
-    patterns: tuple[tuple[bool, ...], ...]
+class _Record:
+    """A slotted record: `==` and `repr` read the fields `_fields` names,
+    in order, as a dataclass's would, and an instance is not hashable."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == \
+            [getattr(other, f) for f in self._fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BlockSpec(_Record):
+    __slots__ = _fields = ("name", "arity", "patterns")
+
+    def __init__(self, name: str, arity: int, patterns: tuple[tuple[bool, ...], ...]):
+        self.name, self.arity, self.patterns = name, arity, patterns
 
 
 class Clause:
@@ -254,20 +269,22 @@ class Program:
         return out
 
 
-@dataclass
-class Solution:
+class Solution(_Record):
     """One answer: named query variables (detached), the goals still
     suspended when it was produced, and the steps its solve had taken."""
-    bindings: dict[str, object]
-    residue: list
-    steps: int
+    __slots__ = _fields = ("bindings", "residue", "steps")
+
+    def __init__(self, bindings: dict[str, object], residue: list, steps: int):
+        self.bindings, self.residue, self.steps = bindings, residue, steps
 
 
-@dataclass
-class Truncated:
+class Truncated(_Record):
     """End-of-stream marker: the solve spent its budget of `steps`, so
     absence of further answers proves nothing."""
-    steps: int
+    __slots__ = _fields = ("steps",)
+
+    def __init__(self, steps: int):
+        self.steps = steps
 
 
 class Engine:

@@ -4,7 +4,7 @@ else under src/clgram.  No linter ships with the project, so these are
 the unused-import and unused-definition checks; a line marked
 `# noqa: F401` is a deliberate re-export.  Another check keeps the list
 of functions that call themselves, directly or through each other, and a
-last one the hash library out of the process."""
+last one what start-up imports small."""
 
 import ast
 import os
@@ -150,13 +150,20 @@ def test_recursive_walkers_are_the_known_ones():
     assert found == RECURSIVE
 
 
-def test_no_hash_library_is_imported():
-    # `hashlib` loads OpenSSL, which alone raises peak RSS by about 4 MB
+# Loaded by no `import clgram, clgram.cli`: `hashlib` loads OpenSSL, which
+# alone raises peak RSS by about 4 MB, and the rest (what `dataclasses` and
+# `importlib.resources` bring in) took about two thirds of the import time.
+NOT_AT_START_UP = {"hashlib", "_hashlib", "dataclasses", "inspect",
+                   "importlib.resources", "pathlib", "zipfile", "tempfile"}
+
+
+def test_start_up_imports_only_what_it_uses():
+    # `-S`, so that no `.pth` file in site-packages preloads a module
     code = ("import sys, clgram, clgram.cli; "
-            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+            f"print(sorted(set({sorted(NOT_AT_START_UP)!r}) & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, env=env)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -266,28 +266,110 @@ class TestLoadedAfterInstall:
         assert made.count(("stem", "zzv3")) == 1
 
 
+# Each field the reader checks as an atom: a line with `{}` in its place,
+# and the name the message gives the field.  `""` reaches every field but
+# the word (split away) and the verb's soa (`soa=` is missing, below).
+ATOM_FIELDS = [
+    ("{}\tnoun", "word"),
+    ("zz\tverb\tframe=iv soa={} roles=a", "soa sort"),
+    ("zz\tverb\tframe=tv soa=zz_soa roles=a,{}", "role"),
+    ("zz\tverb\tframe=iv soa=zz_soa roles=a phon={}", "phon"),
+    ("zz\tverb\tframe=iv soa=zz_soa roles=a fin={}", "finite form"),
+    ("zz\tnoun\tindex={}", "index"),
+    ("zz\tadv-restr\trel={}", "rel"),
+    ("zz\tadv-op\tsoa={}", "operator soa"),
+]
+BAD_ATOMS = ["", "1a", "_a", "aB", "\u00e9", "a-b", "a.b"]
+# a comment and a blank line count, so an atom line is line 4
+ATOM_PREFIX = "# edge cases\n\nzy\tnoun\n"
+
+READER_ERRORS = [
+    *((ATOM_PREFIX + line.format(bad) + "\n",
+       f"line 4: {what} {bad!r} is not a valid atom")
+      for line, what in ATOM_FIELDS for bad in BAD_ATOMS
+      if bad or what not in ("word", "soa sort")),
+    # _parse, in the order it checks a line
+    ("zz\n", "line 1: expected `word class [params]`"),
+    ("zz\tnoun\n\nzy # no class\n", "line 3: expected `word class [params]`"),
+    ("1a\tnoun\tindex\n", "line 1: word '1a' is not a valid atom"),
+    ("zz\tnoun\tindex\n", "line 1: bad parameter 'index'"),
+    ("zz\tnoun\tindex=a index=b\n", "line 1: duplicate parameter 'index'"),
+    ("zz\tnoun\tindex=a =b =c\n", "line 1: duplicate parameter ''"),
+    ("zz\tnoun\nzz\tadv-restr\n", "line 2: duplicate word 'zz'"),
+    ("zz\tnoun\nzz\tadj\tx\n", "line 2: bad parameter 'x'"),
+    ("zz\tnoun\nzz\tadj\n", "line 2: duplicate word 'zz'"),
+    ("zz\tadj\tsoa=x\n", "line 1: unknown class 'adj'"),
+    ("zz\tVerb\n", "line 1: unknown class 'Verb'"),
+    # _add_verb, in the order it checks a verb
+    ("zz\tverb\tsoa=zz_soa roles=a\n", "line 1: bad or missing frame for 'zz'"),
+    ("zz\tverb\tframe=vi soa=9\n", "line 1: bad or missing frame for 'zz'"),
+    ("zz\tverb\tframe= soa=zz_soa\n", "line 1: bad or missing frame for 'zz'"),
+    ("zz\tverb\tframe=iv roles=a\n", "line 1: verb 'zz' needs soa="),
+    ("zz\tverb\tframe=iv soa= roles=a\n", "line 1: verb 'zz' needs soa="),
+    ("zz\tverb\tframe=iv soa=9 roles=a,b\n", "line 1: soa sort '9' is not a valid atom"),
+    ("zz\tverb\tframe=iv soa=zz_soa\n", "line 1: frame iv needs roles="),
+    ("zz\tverb\tframe=dtv soa=zz_soa roles=\n", "line 1: frame dtv needs roles="),
+    ("zz\tverb\tframe=iv soa=zz_soa roles=a,b\n", "line 1: frame iv needs 1 roles, got 2"),
+    ("zz\tverb\tframe=iv soa=zz_soa roles=a,\n", "line 1: frame iv needs 1 roles, got 2"),
+    ("zz\tverb\tframe=dtv soa=zz_soa roles=a,b\n", "line 1: frame dtv needs 3 roles, got 2"),
+    ("zz\tverb\tframe=tv soa=zz_soa roles=a\n", "line 1: frame tv needs 2 roles, got 1"),
+    ("zz\tverb\tframe=dtv soa=zz_soa roles=a,B,a\n", "line 1: role 'B' is not a valid atom"),
+    ("zz\tverb\tframe=tv soa=zz_soa roles=a,a\n", "line 1: duplicate role in 'a,a'"),
+    ("zz\tverb\tframe=dtv soa=zz_soa roles=a,b,a phon=P\n",
+     "line 1: duplicate role in 'a,b,a'"),
+    ("zz\tverb\tframe=aux soa=zz_soa roles=a\n", "line 1: frame aux takes no roles="),
+    ("zz\tverb\tframe=aci soa=zz_soa roles=a,b\n", "line 1: frame aci takes no roles="),
+    ("zz\tverb\tframe=iv soa=zz_soa roles=a phon=P fin=F\n",
+     "line 1: phon 'P' is not a valid atom"),
+    ("zz\tverb\tframe=iv soa=zz_soa roles=a fin=F nonfin=x\n",
+     "line 1: finite form 'F' is not a valid atom"),
+    ("zz\tverb\tframe=iv soa=zz_soa roles=a nonfin=yes\n", "line 1: nonfin must be + or -"),
+    ("zz\tverb\tframe=aux soa=zz_soa nonfin= x=1\n", "line 1: nonfin must be + or -"),
+    ("zz\tverb\tframe=iv soa=zz_soa roles=a rel=x index=y\n",
+     "line 1: unknown parameters ['index', 'rel']"),
+    ("zz\tverb\tframe=aux soa=zz_soa =x\n", "line 1: unknown parameters ['']"),
+    # _add_noun and _add_adv
+    ("zz\tnoun\tindex=A soa=b\n", "line 1: index 'A' is not a valid atom"),
+    ("zz\tnoun\tindex=a soa=b\n", "line 1: unknown parameters ['soa']"),
+    ("zz\tnoun\tfin=-\n", "line 1: unknown parameters ['fin']"),
+    ("zz\tadv-restr\trel=R soa=x\n", "line 1: rel 'R' is not a valid atom"),
+    ("zz\tadv-restr\tsoa=x\n", "line 1: unknown parameters ['soa']"),
+    ("zz\tadv-op\tsoa=S rel=x\n", "line 1: operator soa 'S' is not a valid atom"),
+    ("zz\tadv-op\trel=x index=y\n", "line 1: unknown parameters ['index', 'rel']"),
+    # the finite surfaces, once every line is read
+    ("zz\tverb\tframe=iv soa=a_soa roles=a fin=f\n"
+     "zy\tverb\tframe=iv soa=b_soa roles=a fin=f\n",
+     "line 2: finite surface 'f' belongs to both 'zz' and 'zy'"),
+    ("zz\tverb\tframe=iv soa=a_soa roles=a\n"
+     "zy\tverb\tframe=iv soa=b_soa roles=a fin=zzt\n",
+     "line 2: finite surface 'zzt' belongs to both 'zz' and 'zy'"),
+    ("zz\tverb\tframe=iv soa=a_soa roles=a phon=zy\n"
+     "zy\tverb\tframe=aux soa=b_soa\n",
+     "line 2: finite surface 'zyt' belongs to both 'zz' and 'zy'"),
+    ("zz\tverb\tframe=iv soa=a_soa roles=a\nbad\tverb\n",
+     "line 2: bad or missing frame for 'bad'"),
+    # install: the soa sorts
+    ("zz\tverb\tframe=iv soa=noun roles=a\n",
+     "line 1: soa 'noun' names an existing sort"),
+    ("zz\tverb\tframe=iv soa=top roles=a\n",
+     "line 1: soa 'top' names an existing sort"),
+    ("zz\tnoun\nzzo\tadv-op\tsoa=sign\n",
+     "line 2: soa 'sign' names an existing sort"),
+]
+
+
 class TestErrors:
-    @pytest.mark.parametrize("text, message", [
-        ("zz\tverb\tframe=iv soa=noun roles=a\n",
-         "line 1: soa 'noun' names an existing sort"),
-        ("zz\tverb\tframe=iv soa=top roles=a\n",
-         "line 1: soa 'top' names an existing sort"),
-        ("zz\tnoun\nzzo\tadv-op\tsoa=sign\n",
-         "line 2: soa 'sign' names an existing sort"),
-        ("zz\tverb\tframe=tv soa=zz_soa roles=a,a\n",
-         "line 1: duplicate role in 'a,a'"),
-        ("zz\tverb\tframe=tv soa=zz_soa roles=a\n",
-         "line 1: frame tv needs 2 roles, got 1"),
-        ("zz\tverb\tframe=iv soa=zz_soa roles=a phon=P\n",
-         "line 1: phon 'P' is not a valid atom"),
-        ("zz\tverb\tframe=iv soa=a_soa roles=a fin=f\n"
-         "zy\tverb\tframe=iv soa=b_soa roles=a fin=f\n",
-         "line 2: finite surface 'f' belongs to both 'zz' and 'zy'"),
-    ])
+    @pytest.mark.parametrize("text, message", READER_ERRORS)
     def test_message_names_the_line(self, text, message):
         with pytest.raises(LexiconError) as e:
             installed(Lexicon(text))
         assert str(e.value) == message
+
+    def test_empty_roles_are_no_roles(self):
+        # `roles=` with nothing after it is missing for iv, tv and dtv, and
+        # allowed where a frame takes no roles
+        lexicon = Lexicon("zz\tverb\tframe=aux soa=zz_soa roles=\n")
+        assert lexicon.verbs["zz"].roles == ()
 
     def test_a_clash_declares_nothing(self):
         program = Program()

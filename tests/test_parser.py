@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
 from clgram.parser import DEPENDENT, ENTRY, FRAME, LEFT, RIGHT
-from clgram import (Atom, ClgramError, Engine, ListCons, LimitExceededError,
-                    NoFiniteVerbError, Parser, StaleParseError, Struct,
+from clgram import (Atom, BlockSpec, ClgramError, Derivation, Engine, ListCons,
+                    LimitExceededError, NoFiniteVerbError, Parser, ParseResult,
+                    Solution, StaleParseError, Struct, Truncated,
                     UnknownTokensError, Var, build_program, canonical,
                     cluster_expand, corpus_source, load_corpus, render)
 
@@ -1001,3 +1002,68 @@ class TestDerivationHarness:
         assert Counter(d.reading for d in fresh.derivations) == readings
         assert all(ground(r) for r in fresh.readings)
         assert derivation_rows(warmed.parse(sentence)) == derivation_rows(fresh)
+
+
+class TestRecordClasses:
+    """The public record classes compare and print field by field, as
+    dataclasses would: `==` wants the same class, an instance is not
+    hashable, and a Derivation's private `_sign`, `_signs` and `_index`
+    are left out of both."""
+
+    def test_solver_records(self):
+        sol = Solution({"X": Atom("a")}, [], 3)
+        assert repr(sol) == "Solution(bindings={'X': Atom(a)}, residue=[], steps=3)"
+        assert sol == Solution({"X": Atom("a")}, [], 3)
+        assert sol != Solution({"X": Atom("b")}, [], 3)
+        assert sol != Solution({"X": Atom("a")}, [], 4)
+        assert repr(Truncated(7)) == "Truncated(steps=7)"
+        assert Truncated(7) == Truncated(steps=7)
+        assert Truncated(7) != Truncated(8)
+        assert Truncated(7) != (7,)
+        spec = BlockSpec("concat", 3, ((True, False, True),))
+        assert repr(spec) == \
+            "BlockSpec(name='concat', arity=3, patterns=((True, False, True),))"
+        assert spec == BlockSpec(name="concat", arity=3, patterns=((True, False, True),))
+        assert spec != BlockSpec("concat", 3, ((False, False, True),))
+        assert spec != ("concat", 3, ((True, False, True),))
+        spec.patterns += ((False, True, False),)
+        assert spec.patterns == ((True, False, True), (False, True, False))
+        for record in (sol, Truncated(7), spec):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_parse_records(self):
+        members = [{"dir": "left", "lex": "arie", "token": "arie", "token_index": 0}]
+        row = (0, ("atom", "slaap"), "slaap", members, ["slaapt"])
+        d = Derivation(*row)
+        assert repr(d) == (
+            "Derivation(head_index=0, reading=('atom', 'slaap'), reading_text='slaap', "
+            "members=[{'dir': 'left', 'lex': 'arie', 'token': 'arie', 'token_index': 0}], "
+            "cluster=['slaapt'])")
+        other = Derivation(*row, _sign=Atom("s"), _signs=object(), _index=4)
+        assert other == d and repr(other) == repr(d)
+        assert (other._sign, other._index) == (Atom("s"), 4)
+        assert d != Derivation(1, *row[1:])
+        assert d != row
+        result = ParseResult("arie slaapt", ["arie", "slaapt"], False)
+        assert repr(result) == ("ParseResult(sentence='arie slaapt', tokens=['arie', "
+                                "'slaapt'], had_complementizer=False, derivations=[])")
+        assert result.derivations is not \
+            ParseResult("arie slaapt", ["arie", "slaapt"], False).derivations
+        result.derivations.append(d)
+        assert result == ParseResult("arie slaapt", ["arie", "slaapt"], False, [other])
+        assert result != ParseResult("arie slaapt", ["arie", "slaapt"], True, [d])
+        assert repr(result).endswith(f"derivations=[{d!r}])")
+        for record in (d, result):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_parses_compare_equal_across_parsers(self):
+        sentence = "dat arie bob vandaag wil kussen"
+        a = Parser(*build_program()).parse(sentence)
+        b = Parser(*build_program()).parse(sentence)
+        # 3 derivations, 2 readings: one sign is left to make on demand
+        assert [d._signs is None for d in a.derivations] == [True, True, False]
+        assert a.derivations[0]._sign is not b.derivations[0]._sign
+        assert a == b and repr(a) == repr(b)
+        assert [d._index for d in a.derivations] == [0, 1, 2]
