@@ -362,10 +362,7 @@ def unify(store: Store, a, b) -> bool:
 def _unify(store: Store, a, b) -> bool:
     """Pairs pop depth first, left to right, as a recursive walk meets
     them.  A pair of structures or list cells met again is skipped; the
-    set of them is made at the first, as in `_occurs`.  Two lists are
-    walked along both spines in one inner loop: a head pair with no list
-    cell, structure or record in it is unified on the spot, and a pair of
-    compound heads is pushed above its tail pair, to pop first.  Records merge at
+    set of them is made at the first, as in `_occurs`.  Records merge at
     once: `b` forwards to `a`, which takes the meet and the features it
     lacks, and each shared feature becomes a pair; after the occurs check
     no later pair reaches `a` or `b`.  The caller undoes on failure."""
@@ -401,44 +398,21 @@ def _unify(store: Store, a, b) -> bool:
                 else:
                     store._add_feat(a, f, v)
             continue
-        if ta is Atom:
-            continue        # equal names; NIL is one object, met above
-        if seen is None:
-            seen = set()
         if ta is Struct:
             if a.name != b.name or len(a.args) != len(b.args):
                 return False
-            if (a, b) not in seen:
-                seen.add((a, b))
-                pairs.extend(zip(reversed(a.args), reversed(b.args)))
+        elif ta is not ListCons:
+            continue        # equal atoms; NIL is one object, met above
+        if seen is None:
+            seen = set()
+        elif (a, b) in seen:
             continue
-        while (a, b) not in seen:   # along both spines, a cell pair at a time
-            seen.add((a, b))
-            x, y = a.head, b.head
-            if type(x) is Var or type(x) is Avm:
-                x = deref(x)
-            if type(y) is Var or type(y) is Avm:
-                y = deref(y)
-            tx, ty = type(x), type(y)
-            if x is y:
-                pass
-            elif tx is Var or ty is Var:
-                v, t = (x, y) if tx is Var else (y, x)
-                if _occurs((v,), [t]):
-                    return False
-                store._bind(v, t)
-            elif tx is not ty or tx is Atom and x.name != y.name:
-                return False
-            elif tx is not Atom:    # two compound heads, to unify before the tails
-                pairs.append((a.tail, b.tail))
-                pairs.append((x, y))
-                break
-            a, b = a.tail, b.tail
-            if a is b:
-                break
-            if type(a) is not ListCons or type(b) is not ListCons:
-                pairs.append((a, b))    # an end, or a bound tail to deref
-                break
+        seen.add((a, b))
+        if ta is ListCons:
+            pairs.append((a.tail, b.tail))
+            pairs.append((a.head, b.head))
+        else:
+            pairs.extend(zip(reversed(a.args), reversed(b.args)))
     return True
 
 
