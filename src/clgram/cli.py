@@ -68,7 +68,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", type=_bound,
                    default=_env("MAX_DEPTH", "200000"),
                    help="step budget per tabling solve (a word's entry, a "
-                        "head's frames per subcat length), per attempt's "
+                        "head's frames or a cluster verb's answers per "
+                        "subcat length), per attempt's "
                         "match phase over all frames (a step per pairing "
                         "tried), or per --goal query")
     p.add_argument("--max-sc-length", type=_bound,

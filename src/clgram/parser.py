@@ -74,6 +74,14 @@ sorts, so it is built once per Program: `Program.frame_index` keeps, per
 (head word, n, left and right answer sorts), the frames whose table
 passes, in answer order, each with its table, and an attempt pairs only
 those.  Loading source empties the index with the answer table.
+
+A cluster verb's answers, the third kind, are those of `tabled_entry(T,
+nonfinite, Sign)`, `Sign`'s `sc` n fresh variables, kept per (T, n) as
+`tabled_cluster` clauses.  A pairing matches them in place against its
+member M, instead of running T's `add_adj` residue on M, when (a) M's
+`sc` is a proper list of length n, (b) no goal is suspended and (c) each
+answer leaves no residue and has `slash` []; then those that unify are
+the residue path's answers, in its order.
 """
 
 from __future__ import annotations
@@ -93,8 +101,9 @@ lexical_dependent(T, M) :- adverbial_entry(T, M).
 """
 
 FINITE, NONFINITE = Atom("finite"), Atom("nonfinite")
-# the predicates that hold the table's answers: entries, and finite frames
+# the predicates that hold the table's answers: entries, finite frames, cluster verbs
 ENTRY, DEPENDENT, FRAME = ("tabled_entry", 3), ("tabled_dependent", 2), ("tabled_frame", 3)
+CLUSTER = ("tabled_cluster", 3)
 LEFT, RIGHT = 1, 2      # the ways a member may take a token, as table bits
 
 
@@ -217,15 +226,14 @@ class Parser:
         sign."""
         tokens = signs.tokens
         word = self.lexicon.finite_map[tokens[h]]
-        left = tokens[:h]
-        right = tokens[h + 1:]
+        left, right = tokens[:h], tokens[h + 1:]
         engine = Engine(self.program, max_depth=self.max_depth,
                         trace=None if replay else self.trace)
-        self._table(engine, ENTRY, Struct(
+        _table(engine, ENTRY, Struct(
             "lexical_entry", (Atom(word), FINITE, Var("Entry"))))
-        left_answers = [self._table(engine, DEPENDENT, Struct(
+        left_answers = [_table(engine, DEPENDENT, Struct(
             "lexical_dependent", (Atom(t), Var("Entry")))) for t in left]
-        right_answers = [self._table(engine, ENTRY, Struct(
+        right_answers = [_table(engine, ENTRY, Struct(
             "lexical_entry", (Atom(t), NONFINITE, Var("Entry")))) for t in right]
         frames = self._frames(engine, word, len(tokens) - 1,
                               tuple(_answer_sorts(a) for a in left_answers),
@@ -262,11 +270,8 @@ class Parser:
         key = (word, n, left, right)
         frames = self.program.frame_index.get(key)
         if frames is None:
-            skeleton = [engine.store.new_var(f"M{i + 1}") for i in range(n)]
-            sign = Avm(self.program.sorts.get("sign"),
-                       {"sc": make_list(skeleton), "slash": NIL})
-            answers = self._table(engine, FRAME, Struct(
-                "tabled_entry", (Atom(word), FINITE, sign)), n)
+            answers = _table(engine, FRAME, Struct(
+                "tabled_entry", (Atom(word), FINITE, _skeleton(engine, n, slash=NIL))), n)
             frames = self.program.frame_index[key] = []
             for answer in answers:
                 if answer.body:         # a frame leaves no residue
@@ -278,16 +283,6 @@ class Parser:
                 if table[0][0]:
                     frames.append((frame, sc, members, table))
         return frames
-
-    def _table(self, engine: Engine, pred: tuple, goal: Struct, *extra) -> list:
-        """The answers to `goal`, tabled as clauses of `pred` under a key of
-        its atoms and `extra` (`Engine.table`)."""
-        answers = engine.table((pred,) + goal.args[:-1] + extra, goal)
-        if answers is None:
-            raise LimitExceededError(
-                f"step limit {self.max_depth} hit while parsing "
-                f"(entry of {goal.args[0].name!r})")
-        return answers
 
     def _extract(self, store: Store, sign, members: list, h: int,
                  signs: _Signs, index: int, every_sign: bool) -> Derivation:
@@ -329,6 +324,23 @@ class Parser:
             _signs=signs if made is None else None,
             _index=index,
         )
+
+
+def _table(engine: Engine, pred: tuple, goal: Struct, *extra) -> list:
+    """The answers to `goal`, tabled as clauses of `pred` under a key of
+    its atoms and `extra` (`Engine.table`)."""
+    answers = engine.table((pred,) + goal.args[:-1] + extra, goal)
+    if answers is None:
+        raise LimitExceededError(
+            f"step limit {engine.max_depth} hit while parsing "
+            f"(entry of {goal.args[0].name!r})")
+    return answers
+
+
+def _skeleton(engine: Engine, n: int, **feats) -> Avm:
+    """A sign whose subcat list is `n` fresh variables, M1 to Mn."""
+    sc = make_list(engine.store.new_var(f"M{i + 1}") for i in range(n))
+    return Avm(engine.program.sorts.get("sign"), {"sc": sc, **feats})
 
 
 def _answer_sorts(answers: list) -> tuple | None:
@@ -385,8 +397,18 @@ def _pair(engine: Engine, table: list, members: list, lefts: list,
         for goal, after in tries:
             if not engine.count_step():
                 return
-            for _ in engine.prove_live([goal]):
-                yield after
+            verb = _cluster_answers(engine, goal) if goal.name == "tabled_entry" else None
+            if verb is None:
+                for _ in engine.prove_live([goal]):
+                    yield after
+            else:               # answers match in place, as a call's clauses do
+                goal = Struct(CLUSTER[0], goal.args)
+                if store.trace:
+                    store.trace(("call", goal), store)
+                for answer in verb:
+                    if answer.try_goal(store, goal) is not None:
+                        yield after
+                    store.undo_to(mark)
             store.undo_to(mark)     # an ended enumeration leaves bindings
             if engine.truncated:
                 return
@@ -400,6 +422,23 @@ def _pair(engine: Engine, table: list, members: list, lefts: list,
             yield
         else:
             stack.append(answers(len(stack) - 1, i))
+
+
+def _cluster_answers(engine: Engine, goal: Struct) -> list | None:
+    """T's tabled answers for (T, n) that pair M in `goal`, `tabled_entry(T,
+    nonfinite, M)`, if (a)-(c) of the module docstring hold; else None."""
+    m = deref(goal.args[2])
+    if type(m) is not Avm or "sc" not in m.feats or engine.store.pending_residue():
+        return None
+    sc, tail = list_to_python(m.feats["sc"])
+    if tail is not NIL:
+        return None
+    answers = engine.program.table.get((CLUSTER,) + goal.args[:2] + (len(sc),))
+    if answers is None:         # solved once, its step budget its own
+        answers = _table(engine, CLUSTER, Struct(
+            "tabled_entry", goal.args[:2] + (_skeleton(engine, len(sc)),)), len(sc))
+    ok = all(not a.body and a.head.args[-1].feats.get("slash") is NIL for a in answers)
+    return answers if ok else None
 
 
 def _feat_atom(m, name: str) -> str | None:

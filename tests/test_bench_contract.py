@@ -10,7 +10,7 @@ import clgram.parser
 import clgram.solver
 from clgram import (Atom, Lexicon, Parser, build_program, fragment_source,
                     lexicon_source)
-from clgram.parser import DEPENDENT, ENTRY, FRAME
+from clgram.parser import CLUSTER, DEPENDENT, ENTRY, FRAME
 from clgram.solver import Engine, Program
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -87,10 +87,12 @@ def test_tracer_sees_tabling_as_solver_solve_spans(monkeypatch):
     finally:
         t.uninstall()
     wil, finite = Atom("wil"), Atom("finite")
+    kussen, nonfinite = Atom("kussen"), Atom("nonfinite")
     assert set(program.table) == {
         (ENTRY, wil, finite), (DEPENDENT, Atom("arie")), (DEPENDENT, Atom("bob")),
-        (DEPENDENT, Atom("vandaag")), (ENTRY, Atom("kussen"), Atom("nonfinite")),
-        (FRAME, wil, finite, 4)}
+        (DEPENDENT, Atom("vandaag")), (ENTRY, kussen, nonfinite),
+        (FRAME, wil, finite, 4), (CLUSTER, kussen, nonfinite, 1),
+        (CLUSTER, kussen, nonfinite, 2)}
     # one span per answer and one for the end, for each solve of the table
     assert spans == sum(len(answers) + 1 for answers in program.table.values())
     assert list(t.names).count(solve) == spans

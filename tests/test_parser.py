@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from oracle import _sem_index, _sem_obj, _soa, _wrap_restr, oracle_parse
 import clgram.parser
-from clgram.parser import DEPENDENT, ENTRY, FRAME, LEFT, RIGHT
-from clgram import (Atom, BlockSpec, ClgramError, Derivation, Engine, ListCons,
-                    LimitExceededError, NoFiniteVerbError, Parser, ParseResult,
-                    Solution, StaleParseError, Struct, Truncated,
+from clgram.parser import CLUSTER, DEPENDENT, ENTRY, FRAME, LEFT, RIGHT
+from clgram import (NIL, Atom, Avm, BlockSpec, ClgramError, Derivation, Engine,
+                    ListCons, LimitExceededError, NoFiniteVerbError, Parser,
+                    ParseResult, Solution, StaleParseError, Struct, Truncated,
                     UnknownTokensError, Var, build_program, canonical,
                     cluster_expand, corpus_source, load_corpus, render)
 
@@ -451,8 +451,9 @@ class Stop(Exception):
 def is_match_call(event) -> bool:
     """Whether a trace event is a call of the match phase."""
     goal = event[1]
-    return event[0] == "call" and (goal.name == "tabled_dependent" or (
-        goal.name == "tabled_entry" and goal.args[1] == Atom("nonfinite")))
+    return event[0] == "call" and (
+        goal.name in ("tabled_dependent", "tabled_cluster") or (
+            goal.name == "tabled_entry" and goal.args[1] == Atom("nonfinite")))
 
 
 def stop_at(n: int):
@@ -513,6 +514,118 @@ class TestFramesInPlace:
         with pytest.raises(Stop):
             Parser(program, lexicon, trace=stop_at(sum(counted) // 2)).parse(sentence)
         assert frame_forms(program) == before
+
+
+def warm_calls(parser: Parser, sentences: list[str]) -> Counter:
+    """The calls per predicate of a pass over `sentences` after a first
+    one, read with the trace hook."""
+    for sentence in sentences:
+        parser.parse(sentence)
+    calls: Counter = Counter()
+
+    def trace(event, store):
+        if event[0] == "call":
+            calls[event[1].name] += 1
+    parser.trace = trace
+    for sentence in sentences:
+        parser.parse(sentence)
+    parser.trace = None
+    return calls
+
+
+def outputs(parser: Parser, sentence: str) -> tuple[list, list]:
+    """The rows and the rendered signs of a parse of `sentence`."""
+    result = parser.parse(sentence)
+    return derivation_rows(result), [render(d.sign, "avm") for d in result.derivations]
+
+
+@pytest.fixture
+def residue_path(monkeypatch):
+    """Every cluster verb pairs by its entry and residue, as if no answer
+    for (word, n) could be used."""
+    monkeypatch.setattr(clgram.parser, "_cluster_answers", lambda engine, goal: None)
+
+
+class TestClusterTable:
+    """A cluster verb whose member's subcat list is known, with nothing
+    suspended, pairs through its answers for (word, n), solved once per
+    Program; any other pairing runs the verb's entry and its residue.
+    Either way the rows and signs are the same."""
+
+    def test_one_verb_cluster_is_tabled(self, request):
+        sentence = "dat arie bob wil kussen"
+        program, lexicon = build_program()
+        parser = Parser(program, lexicon)
+        calls = warm_calls(parser, [sentence])
+        assert (CLUSTER, Atom("kussen"), Atom("nonfinite"), 1) in program.table
+        assert calls["tabled_cluster"] == 1 and calls["add_adj"] == 0
+        got = outputs(parser, sentence)
+        request.getfixturevalue("residue_path")
+        assert outputs(Parser(*build_program()), sentence) == got
+
+    @pytest.mark.parametrize("sentence,slash", [
+        ("dat arie vandaag bob wil kunnen kussen", False),
+        ("dat arie bob wil kussen", True),
+        ("dat arie bob vandaag toevallig wil kussen", True)],
+        ids=["two_aux", "slash_one_verb", "slash_adverbials"])
+    def test_other_pairings_run_the_residue(self, request, sentence, slash):
+        program, lexicon = build_program(enable_slash=slash)
+        parser = Parser(program, lexicon)
+        calls = warm_calls(parser, [sentence])
+        assert calls["tabled_cluster"] == 0 and calls["add_adj"] > 0
+        kept = [answers for key, answers in program.table.items()
+                if key[0] == CLUSTER]
+        # solved only with extraction on, where some answer carries a slash
+        assert bool(kept) == slash
+        assert all(any(a.head.args[-1].feats["slash"] is not NIL
+                       for a in answers) for answers in kept)
+        got = outputs(parser, sentence)
+        request.getfixturevalue("residue_path")
+        assert outputs(Parser(*build_program(enable_slash=slash)), sentence) == got
+
+    def test_each_condition_falls_back(self):
+        program, _ = build_program()
+        engine = Engine(program)
+        kussen, nonfinite = Atom("kussen"), Atom("nonfinite")
+        engine.table((ENTRY, kussen, nonfinite), entry_goal("kussen", "nonfinite"))
+        sign = program.sorts.get("sign")
+
+        def answers(member):
+            return clgram.parser._cluster_answers(
+                engine, Struct("tabled_entry", (kussen, nonfinite, member)))
+        assert answers(Var()) is None and answers(Avm(sign, {})) is None
+        assert answers(Avm(sign, {"sc": ListCons(Var(), Var())})) is None
+        assert not any(key[0] == CLUSTER for key in program.table)
+        one = answers(Avm(sign, {"sc": ListCons(Var(), NIL)}))
+        assert len(one) == 1 and one is program.table[CLUSTER, kussen, nonfinite, 1]
+        engine.store.suspend_goal(Struct("zz", (Var(),)), [Var()])
+        assert answers(Avm(sign, {"sc": ListCons(Var(), NIL)})) is None
+
+    def test_cut_off_cluster_solve_records_nothing(self):
+        sentence = "dat arie bob vandaag toevallig wil kussen"
+        program, lexicon = tabled(sentence)
+        assert not any(key[0] == CLUSTER for key in program.table)
+        with pytest.raises(LimitExceededError, match="entry of 'kussen'"):
+            Parser(program, lexicon, max_depth=10).parse(sentence)
+        assert not any(key[0] == CLUSTER for key in program.table)
+        full = Parser(program, lexicon).parse(sentence)
+        assert derivation_rows(full) == \
+            derivation_rows(Parser(*build_program()).parse(sentence))
+
+
+class TestCallCounts:
+    """The calls per predicate of a warm pass, pinned: a change that adds
+    calls fails here by count, whatever the wall clock says."""
+
+    def test_corpus(self):
+        calls = warm_calls(Parser(*build_program()), [s for s, _ in CORPUS])
+        assert calls == {"tabled_dependent": 87, "tabled_entry": 19,
+                         "tabled_cluster": 22, "add_adj": 33}
+
+    def test_three_adverbials_over_four_verbs(self):
+        calls = warm_calls(Parser(*build_program()), [ADVERBIAL_SERIES[3]])
+        assert calls == {"tabled_dependent": 1177, "tabled_entry": 1160,
+                         "add_adj": 14386}
 
 
 class TestSignsOnDemand:
@@ -644,11 +757,12 @@ class TestAnswerTable:
     def test_loading_source_empties_the_table(self):
         program, lexicon = build_program()
         Parser(program, lexicon).parse("dat arie bob vandaag wil kussen")
-        assert {key[0] for key in program.table} == {ENTRY, DEPENDENT, FRAME}
+        assert {key[0] for key in program.table} == {ENTRY, DEPENDENT, FRAME, CLUSTER}
         program.load("zz_fact(a).\n", "<zz>")
         assert program.table == {}
         store = Engine(program).store
-        for pred, word in ((ENTRY, "wil"), (DEPENDENT, "arie"), (FRAME, "wil")):
+        for pred, word in ((ENTRY, "wil"), (DEPENDENT, "arie"), (FRAME, "wil"),
+                           (CLUSTER, "kussen")):
             args = (Atom(word),) + tuple(Var() for _ in range(pred[1] - 1))
             assert program.candidates(pred, store, ()) == []
             assert program.candidates(pred, store, args) == []
